@@ -11,11 +11,10 @@ decision:
     calls, the steady-state of repeated fusion over one claim set).
     Decisions must be byte-identical on a canonical serialization.
 2.  **Connected-component sharding** — a multi-component claim graph
-    fused globally vs :func:`repro.fusion.sharding.fuse_sharded` at
-    workers 1/2/4; merged output must be byte-identical at fixed
-    iteration counts (``tolerance=0``), and the per-component stats
-    are reported (on small hosts process overhead can dominate — the
-    point of reporting every wall time).
+    fused globally vs :func:`repro.fusion.sharding.fuse_sharded`
+    (partition, per-component fuse, merge); merged output must be
+    byte-identical at fixed iteration counts (``tolerance=0``), and the
+    component sizes are reported.
 3.  **Convergence early-exit** — rounds and wall time with the delta
     tolerance on vs off; decided truths must agree.
 
@@ -44,7 +43,7 @@ from repro.fusion.compiled import (
 )
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import fuse_sharded
+from repro.fusion.sharding import fuse_sharded, shard_claims
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -223,9 +222,7 @@ def _multi_component_claims(quick: bool) -> ClaimSet:
 
 def run_sharding_section(quick: bool) -> dict:
     claims = _multi_component_claims(quick)
-    worker_grid = [(1, "serial"), (2, "process")]
-    if not quick:
-        worker_grid.append((4, "process"))
+    component_claims = [len(shard) for shard in shard_claims(claims)]
     records = []
     for name in ("accu", "multitruth"):
         method_cls, _kernel = METHODS[name]
@@ -233,57 +230,42 @@ def run_sharding_section(quick: bool) -> dict:
         started = time.perf_counter()
         serial = method.fuse(claims)
         serial_seconds = time.perf_counter() - started
-        reference = _canonical_fusion_bytes(serial)
-        modes = []
-        stats = None
-        for workers, executor in worker_grid:
-            started = time.perf_counter()
-            sharded, stats = fuse_sharded(
-                method, claims, workers=workers, executor=executor
-            )
-            seconds = time.perf_counter() - started
-            modes.append(
-                {
-                    "workers": workers,
-                    "executor": executor,
-                    "seconds": round(seconds, 4),
-                    "speedup": round(serial_seconds / seconds, 3),
-                    "identical": (
-                        _canonical_fusion_bytes(sharded) == reference
-                    ),
-                }
-            )
+        started = time.perf_counter()
+        sharded = fuse_sharded(method, claims)
+        sharded_seconds = time.perf_counter() - started
         records.append(
             {
                 "method": name,
                 "global_seconds": round(serial_seconds, 4),
-                "modes": modes,
-                "components": stats.components,
-                "component_claims": stats.component_claims,
-                "largest_claims": stats.largest_claims,
+                "sharded_seconds": round(sharded_seconds, 4),
+                "speedup": round(serial_seconds / sharded_seconds, 3),
+                "identical": (
+                    _canonical_fusion_bytes(sharded)
+                    == _canonical_fusion_bytes(serial)
+                ),
+                "components": len(component_claims),
+                "component_claims": component_claims,
+                "largest_claims": max(component_claims),
             }
         )
     return {"claims": len(claims), "runs": records}
 
 
 def sharding_table(section: dict) -> str:
-    rows = []
-    for record in section["runs"]:
-        for mode in record["modes"]:
-            rows.append(
-                [
-                    record["method"],
-                    record["components"],
-                    f"{record['global_seconds'] * 1000:.1f}ms",
-                    f"{mode['workers']} ({mode['executor']})",
-                    f"{mode['seconds'] * 1000:.1f}ms",
-                    f"{mode['speedup']:.2f}x",
-                    "yes" if mode["identical"] else "NO",
-                ]
-            )
+    rows = [
+        [
+            record["method"],
+            record["components"],
+            f"{record['global_seconds'] * 1000:.1f}ms",
+            f"{record['sharded_seconds'] * 1000:.1f}ms",
+            f"{record['speedup']:.2f}x",
+            "yes" if record["identical"] else "NO",
+        ]
+        for record in section["runs"]
+    ]
     return render_table(
-        ["method", "components", "global", "workers", "sharded",
-         "speedup", "identical"],
+        ["method", "components", "global", "sharded", "speedup",
+         "identical"],
         rows,
         title=(
             "Connected-component sharding "
@@ -406,12 +388,8 @@ def _check(document: dict) -> list[str]:
         if not record["identical"]:
             failures.append(f"compiled {record['method']} diverged")
     for record in document["sharding"]["runs"]:
-        for mode in record["modes"]:
-            if not mode["identical"]:
-                failures.append(
-                    f"sharded {record['method']} diverged at "
-                    f"{mode['workers']} {mode['executor']} workers"
-                )
+        if not record["identical"]:
+            failures.append(f"sharded {record['method']} diverged")
     for record in document["convergence"]["runs"]:
         if not record["same_truths"]:
             failures.append(

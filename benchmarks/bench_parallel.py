@@ -1,17 +1,14 @@
-"""Parallel execution layer — speedup and equivalence report.
+"""Execution-layer costs — retry overhead, pipeline snapshot, caches.
 
-Measures the three strata of the parallel layer and verifies, in the
-same breath, that none of them changes a single output:
+Measures three things and verifies, in the same breath, that none of
+them changes a single output:
 
-1.  **Multiprocess MapReduce** — VOTE and ACCU on the scalability
-    workloads, serial vs ``executor="process"``; both wall times are
-    reported (on small hosts process overhead can dominate — the point
-    of reporting both numbers) and the fused decisions must be
-    byte-identical on a canonical serialization.
-2.  **Concurrent pipeline stages** — the end-to-end pipeline serial vs
-    ``parallelism=2`` (thread and process stage executors); claims and
-    quality metrics must be identical, and the report contrasts summed
-    per-stage work time with the measured phase wall clock.
+1.  **Retry-path overhead** — VOTE and ACCU MapReduce jobs with the
+    guarded (retrying) dispatch path off vs on and zero faults; the
+    fused decisions must be byte-identical.
+2.  **Pipeline snapshot** — one end-to-end pipeline run: wall clock,
+    per-stage times, similarity-cache hit rates and the deterministic
+    metric subset.
 3.  **Similarity caching** — the attribute-resolution stage with
     caches off / cold / warm, plus hit rates of every similarity
     cache; resolved output must be identical in all three modes.
@@ -48,7 +45,6 @@ from repro.textproc.memo import (
 )
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-MR_WORKERS = 2
 
 
 # ----------------------------------------------------------------------
@@ -67,14 +63,6 @@ def _canonical_fusion_bytes(result) -> bytes:
             sorted(result.source_quality.items()),
         )
     ).encode()
-
-
-def _claim_signature(pipeline):
-    return sorted(
-        (claim.item, claim.value, claim.source_id, claim.extractor_id,
-         claim.confidence)
-        for claim in pipeline.claims
-    )
 
 
 def _pipeline_config(quick: bool, **overrides) -> PipelineConfig:
@@ -99,82 +87,7 @@ def _pipeline_config(quick: bool, **overrides) -> PipelineConfig:
 
 
 # ----------------------------------------------------------------------
-# Section 1: serial vs multiprocess MapReduce.
-
-
-def run_mapreduce_section(quick: bool) -> dict:
-    item_counts = [100, 400] if quick else [100, 400, 1600]
-    rounds = 3 if quick else 5
-    records = []
-    for n_items in item_counts:
-        world = generate_claim_world(
-            ClaimWorldConfig(seed=47, n_items=n_items, n_sources=10)
-        )
-        for job_name, job in (
-            ("VOTE", lambda claims, **kw: mr_vote(claims, **kw)),
-            (
-                "ACCU",
-                lambda claims, **kw: mr_accu(claims, rounds=rounds, **kw),
-            ),
-        ):
-            started = time.perf_counter()
-            serial = job(world.claims, partitions=4)
-            serial_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            parallel = job(
-                world.claims,
-                partitions=4,
-                executor="process",
-                max_workers=MR_WORKERS,
-            )
-            parallel_seconds = time.perf_counter() - started
-
-            identical = _canonical_fusion_bytes(
-                parallel
-            ) == _canonical_fusion_bytes(serial)
-            records.append(
-                {
-                    "job": job_name,
-                    "items": n_items,
-                    "claims": len(world.claims),
-                    "serial_seconds": round(serial_seconds, 4),
-                    "process_seconds": round(parallel_seconds, 4),
-                    "speedup": round(serial_seconds / parallel_seconds, 3),
-                    "identical": identical,
-                }
-            )
-    return {
-        "workers": MR_WORKERS,
-        "partitions": 4,
-        "accu_rounds": rounds,
-        "runs": records,
-    }
-
-
-def mapreduce_table(section: dict) -> str:
-    rows = [
-        [
-            record["job"],
-            record["items"],
-            record["claims"],
-            f"{record['serial_seconds'] * 1000:.1f}ms",
-            f"{record['process_seconds'] * 1000:.1f}ms",
-            f"{record['speedup']:.2f}x",
-            "yes" if record["identical"] else "NO",
-        ]
-        for record in section["runs"]
-    ]
-    return render_table(
-        ["job", "items", "claims", "serial", f"process x{MR_WORKERS}",
-         "speedup", "identical"],
-        rows,
-        title="MapReduce: serial vs process executor",
-    )
-
-
-# ----------------------------------------------------------------------
-# Section 1b: retry-path overhead (guarded dispatch, zero faults).
+# Section 1: retry-path overhead (guarded dispatch, zero faults).
 
 
 def run_retry_section(quick: bool) -> dict:
@@ -243,106 +156,51 @@ def retry_table(section: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Section 2: serial vs concurrent pipeline stages.
+# Section 2: one end-to-end pipeline run.
 
 
-def _run_pipeline(config):
-    pipeline = KnowledgeBaseConstructionPipeline(config)
+def run_pipeline_section(quick: bool) -> dict:
+    # Start from cold similarity caches so hit rates are per-run.
+    clear_similarity_caches()
+    pipeline = KnowledgeBaseConstructionPipeline(_pipeline_config(quick))
     started = time.perf_counter()
     report = pipeline.run()
     wall = time.perf_counter() - started
-    return pipeline, report, wall
-
-
-def _pipeline_record(report, wall: float) -> dict:
     return {
+        "claims": len(pipeline.claims),
         "wall_seconds": round(wall, 3),
         "stage_seconds": {
             timing.stage: round(timing.seconds, 3)
             for timing in report.timings
         },
-        "extraction_wall": {
-            phase: round(seconds, 3)
-            for phase, seconds in report.extraction_wall.items()
+        # Hit rates observed during the end-to-end run; the tag-path
+        # cache's near-total hit rate is the DOM win.
+        "extraction_cache_stats": {
+            name: {
+                "hit_rate": round(stats.hit_rate, 4),
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "evictions": stats.evictions,
+            }
+            for name, stats in similarity_cache_stats().items()
         },
-    }
-
-
-def run_pipeline_section(quick: bool) -> dict:
-    executors = ["thread"] if quick else ["thread", "process"]
-    # Every mode starts from cold similarity caches — otherwise the
-    # serial run (which goes first) would warm them for the others.
-    clear_similarity_caches()
-    serial_pipeline, serial_report, serial_wall = _run_pipeline(
-        _pipeline_config(quick)
-    )
-    extraction_cache_stats = {
-        name: {
-            "hit_rate": round(stats.hit_rate, 4),
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-        }
-        for name, stats in similarity_cache_stats().items()
-    }
-    serial_signature = _claim_signature(serial_pipeline)
-    modes = {"serial": _pipeline_record(serial_report, serial_wall)}
-    equivalent = True
-    for executor in executors:
-        clear_similarity_caches()
-        pipeline, report, wall = _run_pipeline(
-            _pipeline_config(quick, parallelism=2, stage_executor=executor)
-        )
-        record = _pipeline_record(report, wall)
-        record["speedup_vs_serial"] = round(serial_wall / wall, 3)
-        record["identical_claims"] = (
-            _claim_signature(pipeline) == serial_signature
-        )
-        record["identical_metrics"] = (
-            report.fusion_report.precision,
-            report.fusion_report.recall,
-            report.fusion_report.f1,
-        ) == (
-            serial_report.fusion_report.precision,
-            serial_report.fusion_report.recall,
-            serial_report.fusion_report.f1,
-        )
-        equivalent = equivalent and record["identical_claims"]
-        modes[executor] = record
-    return {
-        "claims": len(serial_pipeline.claims),
-        "parallelism": 2,
-        "modes": modes,
-        "equivalent": equivalent,
-        # Hit rates observed during the (serial) end-to-end run; the
-        # tag-path cache's near-total hit rate is the DOM win.
-        "extraction_cache_stats": extraction_cache_stats,
-        # The serial run's count-type metrics (the deterministic
-        # subset): reproducible run-to-run, so BENCH diffs stay clean.
-        "metrics_snapshot": serial_report.metrics.deterministic_subset(),
-        "serial_pipeline": serial_pipeline,  # reused by the cache section
+        # The run's count-type metrics (the deterministic subset):
+        # reproducible run-to-run, so BENCH diffs stay clean.
+        "metrics_snapshot": report.metrics.deterministic_subset(),
+        "serial_pipeline": pipeline,  # reused by the cache section
     }
 
 
 def pipeline_table(section: dict) -> str:
-    rows = []
-    for mode, record in section["modes"].items():
-        rows.append(
-            [
-                mode,
-                f"{record['wall_seconds']:.2f}s",
-                f"{sum(record['stage_seconds'].values()):.2f}s",
-                f"{record.get('speedup_vs_serial', 1.0):.2f}x",
-                "yes" if record.get("identical_claims", True) else "NO",
-            ]
-        )
     mode_table = render_table(
-        ["mode", "wall", "summed stage time", "speedup", "identical"],
-        rows,
-        title=(
-            "Pipeline: serial vs concurrent extraction "
-            f"({section['claims']} claims)"
-        ),
+        ["wall", "summed stage time"],
+        [
+            [
+                f"{section['wall_seconds']:.2f}s",
+                f"{sum(section['stage_seconds'].values()):.2f}s",
+            ]
+        ],
+        title=f"Pipeline: one end-to-end run ({section['claims']} claims)",
     )
     stat_rows = [
         [name, format_ratio(stats["hit_rate"]), stats["hits"],
@@ -443,7 +301,6 @@ def cache_table(section: dict) -> str:
 
 
 def run_all(quick: bool) -> tuple[dict, str]:
-    mapreduce = run_mapreduce_section(quick)
     retry = run_retry_section(quick)
     pipeline = run_pipeline_section(quick)
     cache = run_cache_section(pipeline.pop("serial_pipeline"))
@@ -453,14 +310,12 @@ def run_all(quick: bool) -> tuple[dict, str]:
             "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
         },
-        "mapreduce": mapreduce,
         "retry_overhead": retry,
         "pipeline": pipeline,
         "similarity_cache": cache,
     }
     tables = "\n\n".join(
         [
-            mapreduce_table(mapreduce),
             retry_table(retry),
             pipeline_table(pipeline),
             cache_table(cache),
@@ -483,14 +338,9 @@ def test_parallel_report():
     print(tables)
     emit(document, tables)
 
-    for record in document["mapreduce"]["runs"]:
-        assert record["identical"]
     for record in document["retry_overhead"]["runs"]:
         assert record["identical"]
         assert record["overhead_ratio"] > 0
-    assert document["pipeline"]["equivalent"]
-    for record in document["pipeline"]["modes"].values():
-        assert record.get("identical_metrics", True)
     cache = document["similarity_cache"]
     assert cache["identical_output"]
     # The DOM tag-path cache is the headline win; the warm
@@ -513,12 +363,8 @@ def main(argv=None) -> int:
     emit(document, tables)
     print(f"\nwrote {OUT_DIR / 'BENCH_parallel.json'}")
     failures = []
-    if not all(r["identical"] for r in document["mapreduce"]["runs"]):
-        failures.append("mapreduce outputs diverged")
     if not all(r["identical"] for r in document["retry_overhead"]["runs"]):
         failures.append("guarded (retry) outputs diverged")
-    if not document["pipeline"]["equivalent"]:
-        failures.append("pipeline outputs diverged")
     if not document["similarity_cache"]["identical_output"]:
         failures.append("cached attribute resolution diverged")
     for failure in failures:

@@ -3,10 +3,9 @@
 Demonstrates the fault-tolerance layer end to end on a small world:
 
 1. a **fault-free** baseline run;
-2. a **chaos** run with a seeded :class:`repro.FaultPlan` injecting a
-   transient crash into the sharded-fusion map phase and corrupting one
-   query record — with retries and the quarantine enabled the run
-   completes and its fused output is identical to the baseline;
+2. a **chaos** run with a seeded :class:`repro.FaultPlan` corrupting
+   one query record — with the quarantine enabled the run completes and
+   its fused output is identical to the baseline;
 3. a **degraded** run where the Web-text extractor dies permanently —
    the stage is marked degraded and fusion proceeds on the remaining
    three sources.
@@ -28,7 +27,6 @@ from repro import (
     FaultPlan,
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
-    RetryPolicy,
 )
 from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig
@@ -88,32 +86,22 @@ def main() -> int:
               f"health {baseline_report.health.status}")
 
     # 2. Chaos run: find a noise query record (it contributes no
-    # claims, so quarantining it must not change the output), corrupt
-    # it, and crash the first fusion map task once.
+    # claims, so quarantining it must not change the output) and
+    # corrupt it.
     log = generate_query_log(baseline.world, small_config().querylog)
     noise_index = next(
         i for i, record in enumerate(log) if record.gold_class is None
     )
-    plan = (
-        FaultPlan(seed=11)
-        .corrupt("records:querystream", index=noise_index)
-        .crash("map", index=0, attempts=1)
+    plan = FaultPlan(seed=11).corrupt(
+        "records:querystream", index=noise_index
     )
-    chaos = KnowledgeBaseConstructionPipeline(
-        small_config(
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
-            fusion_executor="serial",
-        )
-    )
+    chaos = KnowledgeBaseConstructionPipeline(small_config(fault_plan=plan))
     chaos_report = chaos.run()
     identical = fused_truths(chaos_report) == fused_truths(baseline_report)
     if not quiet:
         health = chaos_report.health
         print(f"chaos:    quarantined {health.quarantined['total']} "
-              f"record(s), fusion retries {health.retry.get('retries', 0)}, "
-              f"health {health.status}")
+              f"record(s), health {health.status}")
         print(f"chaos output identical to baseline: {identical}")
     assert identical, "fault tolerance must not change output"
 

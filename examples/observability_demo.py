@@ -1,15 +1,14 @@
 """Observability example: metrics and a span trace from one run.
 
 Runs the full pipeline on a small world with every instrumented layer
-active at once — sharded fusion over the MapReduce engine (with a
-retry policy and a seeded fault plan, so retry/quarantine counters are
+active at once — a seeded fault plan (so the quarantine counters are
 non-zero), checkpointing to a temp directory, and the similarity cache
 layer — then demonstrates the exported documents:
 
 1. the **metric snapshot** (``PipelineReport.metrics``): counters,
-   gauges and histograms covering the pipeline stages, the MapReduce
-   engine, fusion kernels, the similarity caches, the quarantine and
-   the checkpoint store;
+   gauges and histograms covering the pipeline stages, fusion kernels
+   and components, the similarity caches, the quarantine and the
+   checkpoint store;
 2. the **span trace** (``PipelineReport.trace``): the nested
    wall-clock tree of the run;
 3. the **deterministic subset**: the count-type metrics (everything
@@ -30,7 +29,6 @@ from repro import (
     FaultPlan,
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
-    RetryPolicy,
 )
 from repro.obs import validate_metrics, validate_trace
 from repro.synth.querylog import QueryLogConfig, generate_query_log
@@ -42,7 +40,6 @@ from repro.synth.world import WorldConfig
 # these metric-name prefixes (the acceptance bar for the demo).
 LAYER_PREFIXES = {
     "pipeline layer": "pipeline_",
-    "mapreduce engine": "mapreduce_",
     "fusion kernels": "fusion_",
     "similarity caches": "simcache_",
     "quarantine": "quarantine_",
@@ -62,19 +59,15 @@ def small_config(checkpoint_dir: str, **overrides) -> PipelineConfig:
         websites=WebsiteConfig(sites_per_class=2, pages_per_site=6),
         webtext=WebTextConfig(sources_per_class=2, documents_per_source=6),
         checkpoint_dir=checkpoint_dir,
-        fusion_parallelism=2,
-        fusion_executor="serial",
-        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         **overrides,
     )
 
 
 def build_fault_plan(config: PipelineConfig) -> FaultPlan:
-    """Corrupt one noise query record and crash one fusion map task.
+    """Corrupt one noise query record.
 
-    The corrupted record contributes no claims and the crash is
-    retried, so the output matches a fault-free run — but the
-    quarantine and retry counters light up.
+    The corrupted record contributes no claims, so the output matches
+    a fault-free run — but the quarantine counters light up.
     """
     from repro.synth.world import GroundTruthWorld
 
@@ -83,10 +76,8 @@ def build_fault_plan(config: PipelineConfig) -> FaultPlan:
     noise_index = next(
         i for i, record in enumerate(log) if record.gold_class is None
     )
-    return (
-        FaultPlan(seed=11)
-        .corrupt("records:querystream", index=noise_index)
-        .crash("map", index=0, attempts=1)
+    return FaultPlan(seed=11).corrupt(
+        "records:querystream", index=noise_index
     )
 
 
@@ -112,9 +103,6 @@ def summarize(report) -> None:
     print(f"run wall: {report.wall_seconds:.2f}s "
           f"(cumulative stage time {report.cumulative_stage_seconds():.2f}s)")
     interesting = (
-        "mapreduce_jobs_total",
-        "mapreduce_attempts_total",
-        "mapreduce_retries_total",
         "fusion_rounds_total",
         "fusion_claims_total",
         "quarantine_records_total",

@@ -57,29 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the augmented Freebase snapshot's claims as TSV",
     )
     pipeline.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="run independent extraction stages concurrently (N >= 2); "
-        "output is identical to a serial run",
-    )
-    pipeline.add_argument(
-        "--stage-executor", choices=("process", "thread"),
-        default="process",
-        help="pool type for concurrent extraction stages",
-    )
-    pipeline.add_argument(
-        "--fusion-parallel", type=int, default=1, metavar="N",
-        help="shard fusion over connected components of the claim "
-        "graph on N workers (N >= 2); truths identical to serial",
-    )
-    pipeline.add_argument(
-        "--fusion-executor", choices=("process", "serial"),
-        default="process",
-        help="mapreduce executor for sharded fusion",
-    )
-    pipeline.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="retry failed fusion map/reduce tasks up to N extra times "
-        "with exponential backoff (0 keeps single-attempt behaviour)",
+        help="with --serve, retry a failed delta delivery up to N extra "
+        "times with exponential backoff (0 keeps the serving default)",
     )
     pipeline.add_argument(
         "--stage-timeout", type=float, default=None, metavar="SECONDS",
@@ -306,10 +286,6 @@ def _run_pipeline(args) -> int:
         querylog=QueryLogConfig(scale=args.query_scale),
         discover_new_entities=args.discover_entities,
         entity_blocking=not args.no_entity_blocking,
-        parallelism=args.parallel,
-        stage_executor=args.stage_executor,
-        fusion_parallelism=args.fusion_parallel,
-        fusion_executor=args.fusion_executor,
         retry=retry,
         stage_timeout=args.stage_timeout,
         min_sources=args.min_sources,
@@ -322,29 +298,18 @@ def _run_pipeline(args) -> int:
     report = pipeline.run(resume=args.resume)
     for timing in report.timings:
         print(f"{timing.stage:<22} {timing.seconds:6.2f}s  {timing.detail}")
-    for phase, seconds in report.extraction_wall.items():
-        print(f"{phase + ' wall':<22} {seconds:6.2f}s")
     print(f"{'fusion wall':<22} {report.fusion_wall:6.2f}s")
-    if report.fusion_shards:
-        shards = report.fusion_shards
-        print(
-            f"{'fusion shards':<22} {shards['components']} components "
-            f"on {shards['workers']} {shards['executor']} workers, "
-            f"largest {shards['largest_claims']} claims"
-        )
     health = report.health
     if (
         health.status != "ok"
         or health.resumed_stages
         or health.quarantined.get("total")
-        or health.retry
     ):
         print(
             f"health: {health.status}; "
             f"degraded: {sorted(health.degraded) or 'none'}; "
             f"quarantined: {health.quarantined.get('total', 0)}; "
-            f"resumed: {health.resumed_stages or 'none'}; "
-            f"retry: {health.retry or 'none'}"
+            f"resumed: {health.resumed_stages or 'none'}"
         )
     fusion = report.fusion_report
     print(

@@ -10,10 +10,13 @@ instead of recomputing.  Two rules keep resume safe:
   configs, seeds, toggles that change what gets extracted).  A
   checkpoint whose fingerprint does not match the current config is
   silently treated as absent — stale state is rejected, never merged.
-  Execution knobs (parallelism, executors, retry policy, fault plan,
-  the checkpoint directory itself) are deliberately excluded: they
-  change *how* a run executes, not *what* it computes, so a run
-  interrupted by an injected fault can resume without one.
+  Execution knobs (retry policy, fault plan, stage deadline, source
+  floor, the checkpoint directory itself) are deliberately excluded:
+  they change *how* a run executes, not *what* it computes, so a run
+  interrupted by an injected fault can resume without one.  The
+  fingerprint of ``PipelineConfig()`` is pinned by a golden test, so
+  checkpoint directories stay resumable across releases that only
+  add or drop execution knobs.
 * **Atomic** — payloads are pickled to a temp file and ``os.replace``d
   into place, so a crash mid-write leaves either the old checkpoint or
   none, never a truncated one (unreadable files are also treated as

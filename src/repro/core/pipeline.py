@@ -18,25 +18,9 @@ Knowledge fusion
     9.  evaluate against the world (gold standard by construction);
     10. augment the Freebase snapshot with the fused knowledge.
 
-Extraction parallelism
-    The extractors are independent given their inputs, so with
-    ``PipelineConfig.parallelism > 1`` the pipeline runs them
-    concurrently in two phases that respect the data dependencies:
-
-    * phase A — KB snapshot construction + KB extraction runs next to
-      query-log generation (the query-stream *extraction* needs Set_E
-      from the Freebase snapshot, so it runs as soon as phase A joins);
-    * phase B — after seed-set construction, the DOM and Web-text
-      extractors (the two heaviest stages) run concurrently.
-
-    Stage bodies are module-level functions executed on a
-    ``concurrent.futures`` pool (``stage_executor`` picks processes or
-    threads).  Every stage is a deterministic function of the world
-    and its config — the synthetic generators seed their own RNGs — so
-    concurrent output is identical to serial output; per-stage wall
-    times are measured inside the workers and land in the stage report
-    exactly as in a serial run, while phase wall-clock times are kept
-    separately in ``PipelineReport.extraction_wall``.
+Every stage runs serially in this process.  Each is a deterministic
+function of the world and its config (the synthetic generators seed
+their own RNGs), so same-seed runs produce identical output.
 
 Fault tolerance
     The fusion framework is meant to run over noisy Web-scale inputs
@@ -63,16 +47,16 @@ Fault tolerance
       invalidates old checkpoints).  Degraded runs never write
       checkpoints — resume only ever restores healthy state.
 
-    ``PipelineConfig.retry`` and ``fault_plan`` ride through to the
-    sharded-fusion MapReduce job, so transient worker crashes during
-    fusion are retried with deterministic backoff (see
-    :mod:`repro.mapreduce.engine` and :mod:`repro.faults`).
+    ``PipelineConfig.retry`` is the redelivery policy of the serving
+    stream consumer (:meth:`~KnowledgeBaseConstructionPipeline.serve`)
+    and of tenant fleets; ``fault_plan`` reaches every stage guard,
+    record validator, the incremental engine and the serving layer
+    (see :mod:`repro.faults`).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.core.augmentation import AugmentationReport, augment_kb
@@ -114,6 +98,7 @@ from repro.extract.seeds import SeedSet, build_seed_sets
 from repro.extract.webtext import WebTextExtractor, WebTextExtractorConfig
 from repro.fusion.base import ClaimSet, FusionResult
 from repro.fusion.knowledge_fusion import KnowledgeFusion
+from repro.fusion.sharding import shard_claims
 from repro.mapreduce.engine import RetryPolicy
 from repro.synth.copying import CopyingConfig, generate_copying_world
 from repro.synth.drift import DriftConfig, DriftingWorld
@@ -171,33 +156,18 @@ class PipelineConfig:
     # are identical either way; False restores the reference
     # brute-force scans.
     entity_blocking: bool = True
-    # Extraction parallelism: 1 runs every stage serially (the
-    # original behaviour); >= 2 runs independent extraction stages
-    # concurrently.  Output is identical either way.
-    parallelism: int = 1
-    # Pool flavour for parallel stages: "process" sidesteps the GIL for
-    # these CPU-bound extractors; "thread" avoids pickling overhead.
-    stage_executor: str = "process"
-    # Fusion parallelism: >= 2 shards the core fuse over the connected
-    # components of the claim graph (repro.fusion.sharding) on that
-    # many workers.  Truths are identical to the serial run; beliefs
-    # match bit-for-bit at tolerance 0 (see the sharding module's
-    # early-exit caveat).
-    fusion_parallelism: int = 1
-    # Mapreduce executor for sharded fusion: "process" or "serial".
-    fusion_executor: str = "process"
     # Convergence tolerance forwarded to the multi-truth core; None
     # keeps the core's default.  Set 0.0 to pin the iteration count —
     # the regime in which run_incremental() is byte-identical to a
     # full re-fusion.
     fusion_tolerance: float | None = None
     # -- Fault tolerance ------------------------------------------------
-    # Retry policy for the sharded-fusion MapReduce job (None keeps the
-    # legacy single-attempt behaviour).
+    # Redelivery policy of the serving stream consumer (serve()) and of
+    # tenant fleets (run_tenants()); None keeps their defaults.
     retry: RetryPolicy | None = None
     # Deterministic fault plan (repro.faults) injected into extraction
-    # stage guards, record validation and the fusion job.  Testing
-    # only; None in production runs.
+    # stage guards, record validation, the incremental engine and the
+    # serving layer.  Testing only; None in production runs.
     fault_plan: FaultPlan | None = None
     # Deadline in seconds for each extraction stage (measured work time
     # plus any injected slow-call seconds); overruns degrade the stage.
@@ -268,9 +238,6 @@ class PipelineHealth:
     resumed_stages: list[str] = field(default_factory=list)
     # Quarantine.to_dict() snapshot: total / per-source counts / samples.
     quarantined: dict = field(default_factory=dict)
-    # Fusion-job retry counters (attempts/retries/timed_out_tasks) when
-    # a retry policy or fault plan was active.
-    retry: dict = field(default_factory=dict)
 
     def mark_degraded(self, stage: str, reason: str) -> None:
         self.status = "degraded"
@@ -285,7 +252,6 @@ class PipelineHealth:
             "resumed_stages": list(self.resumed_stages),
             "quarantined": self.quarantined
             or {"total": 0, "counts": {}, "samples": {}},
-            "retry": dict(self.retry),
         }
 
 
@@ -302,23 +268,14 @@ class PipelineReport:
     fusion_report: TruthDiscoveryReport | None = None
     augmentation: AugmentationReport | None = None
     entity_resolution: ResolutionOutcome | None = None
-    # Wall-clock seconds of each concurrent extraction phase (empty on
-    # serial runs).  Stage timings above always hold per-stage work
-    # time, so ``sum(stage seconds) - extraction_wall`` is the time
-    # parallelism saved.
-    extraction_wall: dict[str, float] = field(default_factory=dict)
     # Wall-clock seconds of the fuse call alone (the fusion stage
     # timing also covers claim-set assembly and oracle construction).
     fusion_wall: float = 0.0
-    # Connected-component accounting of a sharded fusion run (empty on
-    # serial fusion): components / workers / executor / largest_claims
-    # / component_claims.
-    fusion_shards: dict = field(default_factory=dict)
-    # Degradation / quarantine / retry / resume accounting.
+    # Degradation / quarantine / resume accounting.
     health: PipelineHealth = field(default_factory=PipelineHealth)
     # True end-to-end wall clock of run(), measured around the whole
-    # thing.  Never the sum of stage timings: stages overlap under a
-    # concurrent stage_executor, so that sum double-counts.
+    # thing; it also covers work outside any stage timing (seed sets,
+    # Set_E, metric publication).
     wall_seconds: float = 0.0
     # Metric snapshot of the run (counters/gauges/histograms across
     # every instrumented layer); None only on hand-built reports.
@@ -327,16 +284,14 @@ class PipelineReport:
     trace: dict | None = None
 
     def cumulative_stage_seconds(self) -> float:
-        """Summed per-stage work seconds (stages may overlap in time)."""
+        """Summed per-stage work seconds."""
         return sum(timing.seconds for timing in self.timings)
 
     def total_seconds(self) -> float:
         """True end-to-end seconds of the run.
 
         ``run()`` measures the wall clock around the whole run; the
-        per-stage sum is only a fallback for hand-built reports,
-        because concurrent extraction stages overlap and the sum
-        double-counts their shared wall time.
+        per-stage sum is only a fallback for hand-built reports.
         """
         return self.wall_seconds or self.cumulative_stage_seconds()
 
@@ -364,11 +319,9 @@ class PipelineReport:
                 for source, counts in sorted(self.attribute_counts.items())
             },
             "triple_counts": dict(sorted(self.triple_counts.items())),
-            "extraction_wall": dict(self.extraction_wall),
             "wall_seconds": self.wall_seconds,
             "cumulative_stage_seconds": self.cumulative_stage_seconds(),
             "fusion_wall": self.fusion_wall,
-            "fusion_shards": dict(self.fusion_shards),
             "fused_items": (
                 len(self.fusion_result.truths)
                 if self.fusion_result is not None
@@ -589,9 +542,8 @@ def _valid_document(record: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Extraction stage bodies.  Module-level (hence picklable) functions of
-# (world, config) so they can run inline, on a thread pool, or in a
-# worker process interchangeably; each measures its own wall time.
+# Extraction stage bodies: functions of (world, config), each returning
+# its measured wall time last.
 
 
 def _kb_stage(world: GroundTruthWorld, kb_pair_config: KbPairConfig):
@@ -623,8 +575,8 @@ def _dom_stage(
     """Stage 4: generate websites and run Algorithm 1 over them.
 
     Pages pass through a record guard before extraction; diverted pages
-    land in a stage-local quarantine the parent merges back (the stage
-    may be running in a worker process).
+    land in a stage-local quarantine that the caller merges back in one
+    capacity check.
     """
     started = time.perf_counter()
     sites = generate_websites(world, website_config)
@@ -769,20 +721,7 @@ class KnowledgeBaseConstructionPipeline:
         if restored is not None:
             mention_classes = self._restore_extraction(report, restored)
         else:
-            parallel = max(1, cfg.parallelism) > 1
-            pool = None
-            if parallel:
-                pool_cls = (
-                    ProcessPoolExecutor
-                    if cfg.stage_executor == "process"
-                    else ThreadPoolExecutor
-                )
-                pool = pool_cls(max_workers=min(2, cfg.parallelism))
-            try:
-                mention_classes = self._run_extraction(report, pool)
-            finally:
-                if pool is not None:
-                    pool.shutdown()
+            mention_classes = self._run_extraction(report)
             if store is not None and not health.degraded:
                 store.save(
                     "extraction",
@@ -892,22 +831,7 @@ class KnowledgeBaseConstructionPipeline:
             fuse_started = time.perf_counter()
             result = fusion.fuse(self.claims)
             report.fusion_wall = time.perf_counter() - fuse_started
-            self._publish_fusion_metrics(report, result, fusion)
-            shard_stats = fusion.last_shard_stats
-            if shard_stats is not None:
-                report.fusion_shards = {
-                    "components": shard_stats.components,
-                    "workers": shard_stats.workers,
-                    "executor": shard_stats.executor,
-                    "largest_claims": shard_stats.largest_claims,
-                    "component_claims": shard_stats.component_claims,
-                }
-                if shard_stats.attempts:
-                    health.retry = {
-                        "attempts": shard_stats.attempts,
-                        "retries": shard_stats.retries,
-                        "timed_out_tasks": shard_stats.timed_out_tasks,
-                    }
+            self._publish_fusion_metrics(report, result)
             report.fusion_result = result
             timing.detail = (
                 f"{len(self.claims)} claims, {len(result.truths)} items"
@@ -954,18 +878,6 @@ class KnowledgeBaseConstructionPipeline:
     # ------------------------------------------------------------------
     def _validate_config(self) -> None:
         cfg = self.config
-        if cfg.stage_executor not in ("process", "thread"):
-            raise PipelineError(
-                "stage_executor must be 'process' or 'thread', "
-                f"got {cfg.stage_executor!r}"
-            )
-        if cfg.fusion_executor not in ("process", "serial"):
-            raise PipelineError(
-                "fusion_executor must be 'process' or 'serial', "
-                f"got {cfg.fusion_executor!r}"
-            )
-        if cfg.fusion_parallelism < 1:
-            raise PipelineError("fusion_parallelism must be >= 1")
         if cfg.min_sources < 0:
             raise PipelineError("min_sources must be >= 0")
         if cfg.quarantine_capacity < 1:
@@ -998,9 +910,9 @@ class KnowledgeBaseConstructionPipeline:
     ) -> None:
         """Book one completed extraction stage everywhere at once.
 
-        The stage body measured ``seconds`` inside its (possibly
-        worker-process) execution, so the span is back-dated rather
-        than live-timed.
+        The stage body measured its own ``seconds`` (plus any injected
+        slow-call seconds), so the span is back-dated rather than
+        live-timed.
         """
         report.timings.append(StageTiming(stage, seconds, detail))
         self.tracer.record(stage, seconds, detail=detail)
@@ -1011,10 +923,8 @@ class KnowledgeBaseConstructionPipeline:
             "pipeline_stage_success_total", stage=stage
         ).inc()
 
-    def _publish_fusion_metrics(
-        self, report: PipelineReport, result, fusion
-    ) -> None:
-        """Kernel-level fusion accounting: rounds, convergence, shards."""
+    def _publish_fusion_metrics(self, report: PipelineReport, result) -> None:
+        """Kernel-level fusion accounting: rounds, convergence, components."""
         metrics = self.metrics
         metrics.counter("fusion_rounds_total").inc(result.iterations)
         metrics.counter("fusion_claims_total").inc(len(self.claims))
@@ -1026,15 +936,12 @@ class KnowledgeBaseConstructionPipeline:
                 result.converged_at
             )
         metrics.histogram("fusion_fuse_seconds").observe(report.fusion_wall)
-        shard_stats = fusion.last_shard_stats
-        if shard_stats is not None:
-            metrics.gauge("fusion_components").set(shard_stats.components)
-            metrics.gauge("fusion_largest_component_claims").set(
-                shard_stats.largest_claims
-            )
-            component_sizes = metrics.histogram("fusion_component_claims")
-            for size in shard_stats.component_claims:
-                component_sizes.observe(size)
+        sizes = [len(shard) for shard in shard_claims(self.claims)]
+        metrics.gauge("fusion_components").set(len(sizes))
+        metrics.gauge("fusion_largest_component_claims").set(max(sizes))
+        component_sizes = metrics.histogram("fusion_component_claims")
+        for size in sizes:
+            component_sizes.observe(size)
 
     # ------------------------------------------------------------------
     def _check_fatal_fault(self, stage: str) -> None:
@@ -1094,40 +1001,23 @@ class KnowledgeBaseConstructionPipeline:
         )
 
     # ------------------------------------------------------------------
-    def _run_extraction(self, report: PipelineReport, pool) -> dict[str, str]:
-        """Stages 1-5: run the four extractors, serially or concurrently.
+    def _run_extraction(self, report: PipelineReport) -> dict[str, str]:
+        """Stages 1-5: run the four extractors.
 
         Returns the DOM extractor's mention-surface → class map (used by
-        joint entity resolution).  With a pool, phase A runs KB-snapshot
-        extraction next to query-log generation and phase B runs the DOM
-        and Web-text extractors side by side; stage timings are measured
-        inside the stage bodies either way, so the report is comparable
-        across modes.  Every stage runs inside :meth:`_guarded_stage`,
-        so one crashing extractor degrades its source instead of killing
-        the run.
+        joint entity resolution).  Every stage runs inside
+        :meth:`_guarded_stage`, so one crashing extractor degrades its
+        source instead of killing the run.
         """
         world = self.world
         cfg = self.config
         plan = cfg.fault_plan
 
-        # -- 1+2a. KB snapshots + query-log generation (phase A) ---------
-        phase_span = (
-            self.tracer.span("extraction-phase-a") if pool is not None
-            else None
-        )
-        phase_started = time.perf_counter()
-        if pool is not None:
-            kb_future = pool.submit(_kb_stage, world, cfg.kb_pair)
-            log_future = pool.submit(_querylog_stage, world, cfg.querylog)
-            kb_call = kb_future.result
-        else:
-            log_future = None
-
-            def kb_call():
-                return _kb_stage(world, cfg.kb_pair)
-
+        # -- 1. KB snapshots + KB extraction -------------------------------
         kb_output = None
-        kb_result = self._guarded_stage(report, "kb-extraction", kb_call)
+        kb_result = self._guarded_stage(
+            report, "kb-extraction", lambda: _kb_stage(world, cfg.kb_pair)
+        )
         if kb_result is not None:
             self.freebase, self.dbpedia, kb_output, kb_seconds = kb_result
             self.outputs["kb"] = kb_output
@@ -1140,12 +1030,9 @@ class KnowledgeBaseConstructionPipeline:
             self._set_e_index() if self.freebase is not None else {}
         )
 
-        # -- 2b. Query-stream extraction (needs Set_E) --------------------
+        # -- 2. Query-stream generation + extraction (needs Set_E) ---------
         def query_stream_call():
-            if log_future is not None:
-                log, log_seconds = log_future.result()
-            else:
-                log, log_seconds = _querylog_stage(world, cfg.querylog)
+            log, log_seconds = _querylog_stage(world, cfg.querylog)
             log = self._guard_input(log, _valid_query_record, "querystream")
             started = time.perf_counter()
             extractor = QueryStreamExtractor(
@@ -1173,11 +1060,6 @@ class KnowledgeBaseConstructionPipeline:
                 report, "query-stream", query_seconds,
                 f"{record_count} records",
             )
-        if pool is not None:
-            report.extraction_wall["phase-a"] = (
-                time.perf_counter() - phase_started
-            )
-            phase_span.end()
 
         # -- 3. Seed sets --------------------------------------------------
         seed_outputs = [
@@ -1192,45 +1074,17 @@ class KnowledgeBaseConstructionPipeline:
             class_name: len(seed) for class_name, seed in self.seeds.items()
         }
 
-        # -- 4+5. DOM + Web-text extraction (phase B) ----------------------
+        # -- 4+5. DOM + Web-text extraction --------------------------------
         dom_config = cfg.dom
         if cfg.discover_new_entities:
             dom_config = replace(dom_config, allow_mention_anchors=True)
         kb_triples = kb_output.triples if kb_output is not None else []
-        phase_span = (
-            self.tracer.span("extraction-phase-b") if pool is not None
-            else None
-        )
-        phase_started = time.perf_counter()
-        if pool is not None:
-            dom_future = pool.submit(
-                _dom_stage, self.entity_index, self.seeds, dom_config,
-                world, cfg.websites, plan, cfg.quarantine_capacity,
-            )
-            text_future = pool.submit(
-                _webtext_stage, self.entity_index, self.seeds,
-                kb_triples, world, cfg.webtext,
-                cfg.webtext_extractor, plan, cfg.quarantine_capacity,
-            )
-            dom_call = dom_future.result
-            text_call = text_future.result
-        else:
-
-            def dom_call():
-                return _dom_stage(
-                    self.entity_index, self.seeds, dom_config,
-                    world, cfg.websites, plan, cfg.quarantine_capacity,
-                )
-
-            def text_call():
-                return _webtext_stage(
-                    self.entity_index, self.seeds, kb_triples,
-                    world, cfg.webtext, cfg.webtext_extractor,
-                    plan, cfg.quarantine_capacity,
-                )
 
         def dom_stage_call():
-            output, mention_classes, local_quarantine, seconds = dom_call()
+            output, mention_classes, local_quarantine, seconds = _dom_stage(
+                self.entity_index, self.seeds, dom_config,
+                world, cfg.websites, plan, cfg.quarantine_capacity,
+            )
             self.quarantine.merge(local_quarantine)
             return output, mention_classes, seconds
 
@@ -1247,7 +1101,11 @@ class KnowledgeBaseConstructionPipeline:
             )
 
         def text_stage_call():
-            output, local_quarantine, seconds = text_call()
+            output, local_quarantine, seconds = _webtext_stage(
+                self.entity_index, self.seeds, kb_triples,
+                world, cfg.webtext, cfg.webtext_extractor,
+                plan, cfg.quarantine_capacity,
+            )
             self.quarantine.merge(local_quarantine)
             return output, seconds
 
@@ -1261,11 +1119,6 @@ class KnowledgeBaseConstructionPipeline:
                 report, "webtext-extraction", text_seconds,
                 f"{len(text_output.triples)} claims",
             )
-        if pool is not None:
-            report.extraction_wall["phase-b"] = (
-                time.perf_counter() - phase_started
-            )
-            phase_span.end()
         return mention_classes
 
     # ------------------------------------------------------------------
@@ -1356,9 +1209,6 @@ class KnowledgeBaseConstructionPipeline:
             use_extractor_correlations=cfg.use_extractor_correlations,
             use_confidence=cfg.use_confidence,
             tolerance=cfg.fusion_tolerance,
-            parallelism=cfg.fusion_parallelism,
-            fusion_executor=cfg.fusion_executor,
-            retry=cfg.retry,
             fault_plan=cfg.fault_plan,
             metrics=self.metrics,
         )

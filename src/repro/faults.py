@@ -18,9 +18,8 @@ reproducible:
   validation then diverts to the quarantine.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` targets plus a
-seed (used to derive the corruption payloads).  Plans are picklable, so
-they ride into MapReduce worker processes alongside the task wrappers;
-hooks are read-only, so a plan behaves identically under any executor.
+seed (used to derive the corruption payloads).  Hooks are read-only,
+so one plan can be shared across jobs, engines and repeated runs.
 
 Scope naming convention used across the repo:
 
@@ -122,8 +121,8 @@ class FaultPlan:
         )
 
     The hooks (:meth:`task_delay`, :meth:`corrupt_record`) never mutate
-    the plan, so the same plan object can be shared across executors,
-    worker processes and repeated runs.
+    the plan, so the same plan object can be shared across jobs and
+    repeated runs.
     """
 
     seed: int = 0

@@ -29,7 +29,7 @@ from repro.fusion.correlations import CorrelationEstimate, CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import ShardStats, fuse_sharded, shard_claims
+from repro.fusion.sharding import fuse_sharded, shard_claims
 from repro.fusion.vote import Vote
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "KnowledgeFusion",
     "MultiTruth",
     "PopAccu",
-    "ShardStats",
     "SourceCalibration",
     "Vote",
     "calibrate_sources",

@@ -18,7 +18,6 @@ from typing import Callable
 
 from repro.faults import FaultPlan
 from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
-from repro.mapreduce.engine import RetryPolicy
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
@@ -41,25 +40,18 @@ class KnowledgeFusion(FusionMethod):
         Toggle the copy-detection discounts (ablation switches).
     use_confidence:
         Toggle soft-evidence claims (ablation switch).
-    parallelism / fusion_executor:
-        With ``parallelism >= 2`` the core fuse runs sharded over the
-        connected components of the claim graph
-        (:mod:`repro.fusion.sharding`) on ``parallelism`` workers of
-        the given mapreduce executor (``"serial"`` or ``"process"``).
-        Correlation estimation stays global (copy detection must see
-        all claims); only the fixed-point fuse shards.  The last run's
-        :class:`~repro.fusion.sharding.ShardStats` is kept in
-        ``last_shard_stats`` (None on serial runs).
     tolerance:
         Optional convergence tolerance forwarded to the multi-truth
         core; ``None`` keeps the core's own default.  ``tolerance=0``
         pins the iteration count, which is the regime in which the
         incremental engine's byte-identity contract holds.
+    fault_plan:
+        Optional :class:`repro.faults.FaultPlan` handed to the
+        incremental engine's ``stage:incremental-*`` fault points.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry` handed down to the
-        sharded fuse's MapReduce job (``mapreduce_*`` counters) and to
-        the incremental engine (``incremental_*`` metrics); the
-        pipeline passes its per-run registry here.
+        Optional :class:`repro.obs.MetricsRegistry` handed to the
+        incremental engine (``incremental_*`` metrics); the pipeline
+        passes its per-run registry here.
 
     Incremental updates
     -------------------
@@ -85,9 +77,6 @@ class KnowledgeFusion(FusionMethod):
         threshold: float = 0.5,
         max_iterations: int = 20,
         tolerance: float | None = None,
-        parallelism: int = 1,
-        fusion_executor: str = "serial",
-        retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         metrics=None,
     ) -> None:
@@ -100,12 +89,8 @@ class KnowledgeFusion(FusionMethod):
         self.threshold = threshold
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.parallelism = parallelism
-        self.fusion_executor = fusion_executor
-        self.retry = retry
         self.fault_plan = fault_plan
         self.metrics = metrics
-        self.last_shard_stats = None
         self.incremental = None
         self._casefold_hierarchy = (
             CasefoldHierarchy(hierarchy) if hierarchy is not None else None
@@ -124,22 +109,7 @@ class KnowledgeFusion(FusionMethod):
         if self.use_source_correlations:
             source_weights = self._source_weights(working)
 
-        base = self._base_method(source_weights)
-        if self.parallelism > 1:
-            from repro.fusion.sharding import fuse_sharded
-
-            result, self.last_shard_stats = fuse_sharded(
-                base,
-                working,
-                workers=self.parallelism,
-                executor=self.fusion_executor,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-                metrics=self.metrics,
-            )
-        else:
-            self.last_shard_stats = None
-            result = base.fuse(working)
+        result = self._base_method(source_weights).fuse(working)
         result.method = self.name
         if self.functional_of is not None:
             self._constrain_functional(working, result)

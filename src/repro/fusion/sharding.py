@@ -1,4 +1,4 @@
-"""Connected-component sharding of the claim bipartite graph.
+"""Connected-component partition-and-merge of the claim bipartite graph.
 
 Fusion couples an item to its sources and a source to its items —
 nothing else.  Two claims therefore interact only when their items and
@@ -9,12 +9,11 @@ equivalent to one global run (per-source and per-item statistics never
 cross a component boundary, and the float operation order inside one
 component is unchanged, so the merged output is byte-identical).
 
-:func:`fuse_sharded` runs the components as reduce groups of the
-:mod:`repro.mapreduce` engine, which provides the ``"process"``
-executor (real parallelism for CPU-bound fusion) and its determinism
-contract (reduce groups processed in sorted key order, results merged
-deterministically).  The fusion method rides to the workers inside the
-pickled reducer, like the accuracy snapshot in ``mr_accu``.
+This module owns that decision for every caller: :func:`shard_claims`
+is the one item↔source union-find, :func:`merge` the one disjoint-union
+merge, and :func:`fuse_sharded` their composition with a per-component
+fuse.  The incremental engine (:mod:`repro.incremental.engine`) reuses
+the same partition and merge around its per-component cache.
 
 Caveat: a component that satisfies its convergence tolerance early
 exits on its *own* delta, while a global run exits on the maximum
@@ -26,45 +25,16 @@ the equivalence tests pin both regimes.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 from repro.errors import FusionError
-from repro.faults import FaultPlan
-from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
-from repro.mapreduce.engine import EXECUTORS, MapReduceJob, RetryPolicy
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
 
 __all__ = [
-    "ShardStats",
-    "shard_claims",
     "fuse_sharded",
-    "fuse_sharded_segments",
+    "merge",
+    "shard_claims",
 ]
-
-
-@dataclass(slots=True)
-class ShardStats:
-    """Per-component accounting of one sharded fusion run."""
-
-    components: int = 0
-    workers: int = 1
-    executor: str = "serial"
-    component_claims: list[int] = field(default_factory=list)
-    component_items: list[int] = field(default_factory=list)
-    # Fault-tolerance accounting, copied from the underlying job's
-    # JobStats when a retry policy or fault plan was active (zero on
-    # plain runs).
-    attempts: int = 0
-    retries: int = 0
-    timed_out_tasks: int = 0
-
-    @property
-    def largest_claims(self) -> int:
-        return max(self.component_claims, default=0)
-
-    @property
-    def largest_items(self) -> int:
-        return max(self.component_items, default=0)
 
 
 def _component_map(claims: ClaimSet) -> dict[str, int]:
@@ -120,237 +90,33 @@ def shard_claims(claims: ClaimSet) -> list[ClaimSet]:
     return [shards[component] for component in sorted(shards)]
 
 
-def _shard_mapper(mapping: dict[str, int], claim: Claim):
-    yield mapping[claim.source_id], claim
+def merge(method: str, results: Iterable[FusionResult]) -> FusionResult:
+    """Disjoint-union merge of per-component fusion results.
 
-
-def _shard_reducer(method: FusionMethod, component: int, claims: list[Claim]):
-    yield component, len(claims), method.fuse(ClaimSet(claims))
-
-
-def fuse_sharded(
-    method: FusionMethod,
-    claims: ClaimSet,
-    *,
-    workers: int = 1,
-    executor: str = "serial",
-    partitions: int | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    metrics=None,
-) -> tuple[FusionResult, ShardStats]:
-    """Fuse each connected component independently and merge.
-
-    Components are the reduce groups of one MapReduce job; with
-    ``executor="process"`` they run on worker processes (the method
-    must be picklable — every built-in fusion method is).  Merged
-    truths/beliefs/source qualities are the disjoint union of the
-    component results; ``iterations`` and ``converged_at`` report the
+    Truth sets are copied, so the merged result can be mutated (the
+    functional constraint rebinds them) while the component results
+    stay cached.  ``iterations`` and ``converged_at`` report the
     slowest component (``converged_at`` is None if any component hit
-    its iteration cap).  ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) is handed to the underlying
-    job, which publishes its ``mapreduce_*`` counters there.
+    its iteration cap).
     """
-    if executor not in EXECUTORS:
-        raise FusionError(
-            f"fusion executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if workers < 1:
-        raise FusionError("workers must be >= 1")
+    merged = FusionResult(method)
+    converged: list[int | None] = []
+    for result in results:
+        for item, values in result.truths.items():
+            merged.truths[item] = set(values)
+        merged.belief.update(result.belief)
+        merged.source_quality.update(result.source_quality)
+        merged.iterations = max(merged.iterations, result.iterations)
+        converged.append(result.converged_at)
+    if converged and all(round_ is not None for round_ in converged):
+        merged.converged_at = max(converged)  # type: ignore[type-var]
+    return merged
+
+
+def fuse_sharded(method: FusionMethod, claims: ClaimSet) -> FusionResult:
+    """Fuse each connected component independently and merge."""
     if len(claims) == 0:
         raise FusionError(f"{method.name}: empty claim set")
-
-    mapping = _component_map(claims)
-    # One map partition: the engine splits partitions round-robin, and
-    # more than one would interleave claim order inside each reduce
-    # group, shifting float accumulation order at ULP level.  The map
-    # side is a trivial tagging pass; all the work is in the reduce
-    # groups, which parallelize by component regardless.
-    job: MapReduceJob = MapReduceJob(
-        functools.partial(_shard_mapper, mapping),
-        functools.partial(_shard_reducer, method),
-        partitions=partitions or 1,
-        executor=executor,
-        max_workers=workers,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
+    return merge(
+        method.name, (method.fuse(shard) for shard in shard_claims(claims))
     )
-    merged = FusionResult(method.name)
-    stats = ShardStats(workers=workers, executor=executor)
-    converged: list[int | None] = []
-    for _component, n_claims, result in job.run(claims):
-        stats.components += 1
-        stats.component_claims.append(n_claims)
-        stats.component_items.append(len(result.truths))
-        merged.truths.update(result.truths)
-        merged.belief.update(result.belief)
-        merged.source_quality.update(result.source_quality)
-        merged.iterations = max(merged.iterations, result.iterations)
-        converged.append(result.converged_at)
-    if converged and all(round_ is not None for round_ in converged):
-        merged.converged_at = max(converged)  # type: ignore[type-var]
-    stats.attempts = job.stats.attempts
-    stats.retries = job.stats.retries
-    stats.timed_out_tasks = job.stats.timed_out_tasks
-    return merged, stats
-
-
-# ----------------------------------------------------------------------
-# Zero-copy sharding over a segment-backed store.
-# ----------------------------------------------------------------------
-
-# Per-process cache of open segment readers, so a worker re-mmaps a
-# segment once per file, not once per reduce task.  Bounded: segments
-# are replaced wholesale by compaction, so stale entries only linger
-# until eviction.
-_READER_CACHE: dict[str, object] = {}
-_READER_CACHE_LIMIT = 4
-
-
-def _cached_reader(path: str):
-    from repro.rdf.segments import SegmentReader
-
-    reader = _READER_CACHE.get(path)
-    if reader is None:
-        while len(_READER_CACHE) >= _READER_CACHE_LIMIT:
-            _READER_CACHE.pop(next(iter(_READER_CACHE))).close()
-        reader = SegmentReader(path)
-        _READER_CACHE[path] = reader
-    return reader
-
-
-def _segment_mapper(record):
-    yield record[0], record[1]
-
-
-def _segment_reducer(method: FusionMethod, path: str, component: int,
-                     row_lists):
-    reader = _cached_reader(path)
-    scored = (
-        reader.row_scored(row) for rows in row_lists for row in rows
-    )
-    claims = ClaimSet.from_scored_triples(scored)
-    yield component, len(claims), method.fuse(claims)
-
-
-def fuse_sharded_segments(
-    method: FusionMethod,
-    store,
-    *,
-    workers: int = 1,
-    executor: str = "serial",
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    metrics=None,
-) -> tuple[FusionResult, ShardStats]:
-    """:func:`fuse_sharded` where workers read claims from the segment
-    file instead of pickled claim lists.
-
-    ``store`` is a segment-backed :class:`~repro.rdf.store.TripleStore`
-    (or the :class:`~repro.rdf.segments.SegmentBackend` itself).  The
-    store is compacted to one canonical segment; the parent computes
-    the item↔source connected components by streaming the *interned
-    id* columns (no claim objects are materialized), then ships each
-    reduce task only ``(component, row indexes)`` — workers mmap the
-    shared segment and build their component's claims in row order,
-    which replays the exact claim iteration the in-memory path sees.
-    The merged result is byte-identical to :func:`fuse_sharded` over
-    ``ClaimSet.from_scored_triples(store.claims())`` (property-tested).
-    """
-    from repro.rdf.segments import SegmentBackend
-    from repro.rdf.store import TripleStore
-
-    backend = store.backend if isinstance(store, TripleStore) else store
-    if not isinstance(backend, SegmentBackend):
-        raise FusionError(
-            "fuse_sharded_segments needs a segment-backed store, got "
-            f"{type(backend).__name__}"
-        )
-    if executor not in EXECUTORS:
-        raise FusionError(
-            f"fusion executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if workers < 1:
-        raise FusionError("workers must be >= 1")
-
-    backend.compact()
-    readers = backend.segment_readers()
-    if not readers or len(backend) == 0:
-        raise FusionError(f"{method.name}: empty claim set")
-    reader = readers[0]
-    path = str(backend.segment_paths()[0])
-
-    # Union-find over int nodes: ("item", subject_id, predicate_id)
-    # joined to ("source", source_id) per row — the same bipartite
-    # graph _component_map builds, minus the string materialization.
-    parent: dict[tuple, tuple] = {}
-
-    def find(node):
-        root = node
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[node] is not root:
-            parent[node], node = root, parent[node]
-        return root
-
-    subjects = reader.col_subject
-    predicates = reader.col_predicate
-    sources = reader.col_source
-    n_rows = reader.n_rows
-    for row in range(n_rows):
-        item = (0, subjects[row], predicates[row])
-        source = (1, sources[row])
-        for node in (item, source):
-            if node not in parent:
-                parent[node] = node
-        left, right = find(item), find(source)
-        if left is not right:
-            parent[right] = left
-
-    # Dense component ids by first appearance in row order — the same
-    # numbering _component_map derives from claim iteration order.
-    component_of_root: dict[tuple, int] = {}
-    component_of_source: dict[int, int] = {}
-    rows_of_component: dict[int, list[int]] = {}
-    for row in range(n_rows):
-        source = sources[row]
-        component = component_of_source.get(source)
-        if component is None:
-            root = find((1, source))
-            component = component_of_root.setdefault(
-                root, len(component_of_root)
-            )
-            component_of_source[source] = component
-        rows_of_component.setdefault(component, []).append(row)
-
-    job: MapReduceJob = MapReduceJob(
-        _segment_mapper,
-        functools.partial(_segment_reducer, method, path),
-        partitions=1,
-        executor=executor,
-        max_workers=workers,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
-    merged = FusionResult(method.name)
-    stats = ShardStats(workers=workers, executor=executor)
-    converged: list[int | None] = []
-    for _component, n_claims, result in job.run(
-        sorted(rows_of_component.items())
-    ):
-        stats.components += 1
-        stats.component_claims.append(n_claims)
-        stats.component_items.append(len(result.truths))
-        merged.truths.update(result.truths)
-        merged.belief.update(result.belief)
-        merged.source_quality.update(result.source_quality)
-        merged.iterations = max(merged.iterations, result.iterations)
-        converged.append(result.converged_at)
-    if converged and all(round_ is not None for round_ in converged):
-        merged.converged_at = max(converged)  # type: ignore[type-var]
-    stats.attempts = job.stats.attempts
-    stats.retries = job.stats.retries
-    stats.timed_out_tasks = job.stats.timed_out_tasks
-    return merged, stats

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DeltaError
 from repro.fusion.base import ClaimSet, FusionResult
-from repro.fusion.sharding import shard_claims
+from repro.fusion.sharding import merge, shard_claims
 from repro.incremental.delta import ClaimDelta
 from repro.incremental.journal import DeltaJournal, DeltaReceipt
 from repro.rdf.store import TripleStore
@@ -341,7 +341,7 @@ class IncrementalFusion:
                 stats.dirty_components += 1
                 stats.refused_claims += len(shard)
 
-        merged = self._merge(entries)
+        merged = merge(fusion.name, (entry.result for entry in entries))
         if self.functional_refresh is not None:
             fusion.functional_of = self.functional_refresh(claims)
         if fusion.functional_of is not None:
@@ -372,25 +372,6 @@ class IncrementalFusion:
             else None
         )
         return fusion._base_method(source_weights).fuse(shard)
-
-    def _merge(self, entries: list[ComponentEntry]) -> FusionResult:
-        """Disjoint-union merge, mirroring ``fuse_sharded``."""
-        merged = FusionResult(self.fusion.name)
-        converged: list[int | None] = []
-        for entry in entries:
-            result = entry.result
-            for item, values in result.truths.items():
-                # Copy the sets: the merged result is handed to
-                # callers (and mutated by the functional constraint's
-                # rebinds), while the entry stays cached.
-                merged.truths[item] = set(values)
-            merged.belief.update(result.belief)
-            merged.source_quality.update(result.source_quality)
-            merged.iterations = max(merged.iterations, result.iterations)
-            converged.append(result.converged_at)
-        if converged and all(round_ is not None for round_ in converged):
-            merged.converged_at = max(converged)  # type: ignore[type-var]
-        return merged
 
     # -- plumbing -------------------------------------------------------
     def _fault(self, scope: str) -> float:

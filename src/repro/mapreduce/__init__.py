@@ -1,24 +1,20 @@
 """Local MapReduce engine and fusion jobs (the scale-out substrate)."""
 
 from repro.mapreduce.engine import (
-    EXECUTORS,
     JobStats,
     MapReduceJob,
     Pipeline,
     RetryPolicy,
-    shutdown_pools,
     word_count,
 )
 from repro.mapreduce.jobs import mr_accu, mr_vote
 
 __all__ = [
-    "EXECUTORS",
     "JobStats",
     "MapReduceJob",
     "Pipeline",
     "RetryPolicy",
     "mr_accu",
     "mr_vote",
-    "shutdown_pools",
     "word_count",
 ]

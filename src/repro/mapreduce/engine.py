@@ -1,38 +1,32 @@
-"""A local MapReduce engine with pluggable executors.
+"""A local, in-process MapReduce engine.
 
 The paper scales knowledge fusion "by using a MapReduce based
 framework" (after Dong et al. [13]) and plans a distributed inference
 architecture "inherent in the MapReduce architectures" (Sec. 3.1).
-This engine reproduces the programming model on one machine: mappers
-emit key/value pairs, an optional combiner pre-aggregates per
-partition, a hash partitioner shuffles, and reducers fold each key's
-values.  Jobs can be chained, which is how the iterative fusion
-algorithms run (one job per EM round).
+This engine reproduces the programming model on one machine, in one
+process: mappers emit key/value pairs, an optional combiner
+pre-aggregates per partition, the shuffle groups values by key, and
+reducers fold each key's values.  Jobs can be chained, which is how
+the iterative fusion algorithms run (one job per EM round).  Exactness
+at scale comes from partitioning the claim graph into connected
+components (:mod:`repro.fusion.sharding`), not from worker processes.
 
-Two executors are available:
-
-* ``"serial"`` (default) — the original in-process loop;
-* ``"process"`` — map partitions and reduce key-groups are dispatched
-  in chunks to a ``concurrent.futures.ProcessPoolExecutor``.  Job
-  functions must be picklable (module-level functions or
-  ``functools.partial`` over them — see :mod:`repro.mapreduce.jobs`);
-  per-worker counters are merged back into :class:`JobStats`.
-
-The engine is deliberately deterministic under *both* executors:
-partition results are merged in partition order and reducer input
-preserves emission order, so the shuffle — and therefore the output —
-is byte-identical to a serial run regardless of worker count or
-partitioning.
+The engine is deterministic: partition results are merged in partition
+order, reducer input preserves emission order and reducers run in
+sorted key order, so the output is a function of the records and the
+partition count alone.
 
 Fault tolerance: passing a :class:`RetryPolicy` (or a
 :class:`repro.faults.FaultPlan`) switches a job onto a guarded dispatch
 path where every map partition and reduce chunk is an individually
 retried task — deterministic exponential backoff (injectable ``sleep``
 and ``clock``, so tests never wait), per-task deadlines checked against
-measured duration, automatic recreation of a broken worker pool, and
-optional re-splitting of a poison partition down to single records to
-isolate (and drop-count) the offending one.  A task that fails every
-allowed attempt raises
+measured duration, and optional re-splitting of a poison partition down
+to single records to isolate (and drop-count) the offending one.
+Reduce key-groups are batched into at most :data:`REDUCE_CHUNKS`
+chunks, a function of the key count alone, so a fault plan's
+``"reduce"`` task index names the same keys on every machine.  A task
+that fails every allowed attempt raises
 :class:`~repro.errors.RetryExhaustedError`; retries of a
 deterministic task cannot change its result, so output stays
 byte-identical to an unfaulted run whenever the job completes.
@@ -40,14 +34,10 @@ byte-identical to an unfaulted run whenever the job completes.
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
+import functools
 import random
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Generic, Hashable, TypeVar
 
@@ -61,49 +51,15 @@ Mapper = Callable[[Any], Iterable[tuple[K, V]]]
 Reducer = Callable[[K, list[V]], Iterable[Any]]
 Combiner = Callable[[K, list[V]], Iterable[V]]
 
-EXECUTORS = ("serial", "process")
-
-# Process pools are expensive to start, and iterative jobs (ACCU runs
-# two jobs per EM round) would otherwise pay that cost dozens of times;
-# pools are kept per worker count and reused across runs.
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is not None and getattr(pool, "_broken", False):
-        # A worker that died (segfault, OOM kill, os._exit) breaks the
-        # executor permanently; without this check the broken pool
-        # would poison every later job in the process.
-        pool.shutdown(wait=False, cancel_futures=True)
-        _POOLS.pop(workers, None)
-        pool = None
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def _discard_pool(workers: int) -> None:
-    """Drop (and shut down) the shared pool for a worker count."""
-    pool = _POOLS.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_pools() -> None:
-    """Shut down every shared worker pool (safe to call repeatedly)."""
-    for pool in _POOLS.values():
-        pool.shutdown()
-    _POOLS.clear()
-
-
-atexit.register(shutdown_pools)
+# Upper bound on the guarded path's reduce tasks.  Fixed, so chunk
+# boundaries (and the fault-plan indexes that address them) do not
+# depend on the machine.
+REDUCE_CHUNKS = 8
 
 
 @dataclass(slots=True)
 class JobStats:
-    """Counters of one job execution (merged across workers).
+    """Counters of one job execution.
 
     The retry counters (``attempts`` onward) are populated only on the
     guarded dispatch path — a job run without a retry policy or fault
@@ -191,8 +147,6 @@ def _map_partition(
 ) -> tuple[list[tuple[Any, list[Any]]], int, int, int]:
     """Map (+ optionally combine) one partition.
 
-    Runs in a worker process under the ``"process"`` executor and
-    inline under ``"serial"`` — one code path, identical semantics.
     Returns the emitted groups in first-emission order plus the
     partition's counter deltas.
     """
@@ -236,19 +190,12 @@ class MapReduceJob(Generic[K, V]):
         pre-aggregation).
     partitions:
         Number of map partitions; affects only grouping of combiner
-        input and the granularity of parallel map dispatch, never
-        results.
-    executor:
-        ``"serial"`` or ``"process"``.  The process executor requires
-        picklable job functions and records.
-    max_workers:
-        Worker-process count for the process executor (default: the
-        machine's CPU count).
+        input and the granularity of guarded map tasks, never results.
     retry:
         Optional :class:`RetryPolicy`.  Setting it (or ``fault_plan``)
         moves the job onto the guarded dispatch path: per-task retries
-        with deterministic backoff, deadline checks, broken-pool
-        recovery and poison isolation.  Task failures then surface as
+        with deterministic backoff, deadline checks and poison
+        isolation.  Task failures then surface as
         :class:`~repro.errors.RetryExhaustedError` once the attempt
         budget is spent (``retry=None`` with a fault plan means a
         budget of one attempt — "retries disabled").
@@ -272,48 +219,30 @@ class MapReduceJob(Generic[K, V]):
         *,
         combiner: Combiner | None = None,
         partitions: int = 4,
-        executor: str = "serial",
-        max_workers: int | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         metrics=None,
     ) -> None:
         if partitions < 1:
             raise ReproError("partitions must be >= 1")
-        if executor not in EXECUTORS:
-            raise ReproError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise ReproError("max_workers must be >= 1")
         self.mapper = mapper
         self.reducer = reducer
         self.combiner = combiner
         self.partitions = partitions
-        self.executor = executor
-        self.max_workers = max_workers
         self.retry = retry
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.stats = JobStats()
-        self._active_pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     def run(self, records: Iterable[Any]) -> list[Any]:
         """Execute the job and return the collected reducer output."""
         self.stats = JobStats()
         partitions = self._split(records)
-        parallel = self.executor == "process"
         guarded = self.retry is not None or self.fault_plan is not None
-        pool = None
-        if parallel:
-            self._check_picklable()
-            pool = _shared_pool(self._worker_count())
-        self._active_pool = pool
         try:
             return self._execute(partitions, guarded)
         finally:
-            self._active_pool = None
             self._publish_stats()
 
     def _publish_stats(self) -> None:
@@ -354,29 +283,20 @@ class MapReduceJob(Generic[K, V]):
     def _execute(
         self, partitions: list[list[Any]], guarded: bool
     ) -> list[Any]:
-        pool = self._active_pool
         # Map (+ optional combine) per partition; partition results are
-        # merged in partition order, making the shuffle independent of
-        # worker scheduling.
+        # merged in partition order.
         if guarded:
             partition_results = self._run_guarded(
                 _GuardedTask(
-                    _MapTask(self.mapper, self.combiner),
+                    functools.partial(
+                        _map_partition, self.mapper, self.combiner
+                    ),
                     "map",
                     self.fault_plan,
                 ),
                 partitions,
                 scope="map",
                 resplit=_merge_partition_results,
-            )
-        elif pool is not None:
-            chunksize = max(1, len(partitions) // (self._worker_count() * 4))
-            partition_results = list(
-                pool.map(
-                    _MapTask(self.mapper, self.combiner),
-                    partitions,
-                    chunksize=chunksize,
-                )
             )
         else:
             partition_results = [
@@ -400,12 +320,12 @@ class MapReduceJob(Generic[K, V]):
         self.stats.reduce_groups = len(keys)
         output: list[Any] = []
         if guarded and keys:
-            # Both executors reduce in chunks on the guarded path so a
-            # retried task has the same granularity either way.
-            group_chunks = self._chunk_groups(keys, shuffled)
+            group_chunks = _chunk_groups(keys, shuffled)
             chunk_outputs = self._run_guarded(
                 _GuardedTask(
-                    _ReduceTask(self.reducer), "reduce", self.fault_plan
+                    functools.partial(_reduce_chunk, self.reducer),
+                    "reduce",
+                    self.fault_plan,
                 ),
                 group_chunks,
                 scope="reduce",
@@ -416,13 +336,6 @@ class MapReduceJob(Generic[K, V]):
                     continue
                 for group_output in chunk_output:
                     output.extend(group_output)
-        elif self._active_pool is not None and keys:
-            group_chunks = self._chunk_groups(keys, shuffled)
-            for chunk_output in self._active_pool.map(
-                _ReduceTask(self.reducer), group_chunks
-            ):
-                for group_output in chunk_output:
-                    output.extend(group_output)
         else:
             for key in keys:
                 output.extend(self.reducer(key, shuffled[key]))
@@ -430,8 +343,7 @@ class MapReduceJob(Generic[K, V]):
         return output
 
     # ------------------------------------------------------------------
-    # Guarded dispatch: retries, deadlines, broken-pool recovery and
-    # poison isolation.
+    # Guarded dispatch: retries, deadlines and poison isolation.
 
     def _run_guarded(
         self,
@@ -459,22 +371,13 @@ class MapReduceJob(Generic[K, V]):
                 self.metrics.counter(
                     "mapreduce_waves_total", scope=scope
                 ).inc()
-            futures = {}
-            if self._active_pool is not None:
-                for index in pending:
-                    futures[index] = self._submit(
-                        task, index, attempt, payloads[index]
-                    )
             failed: list[tuple[int, Exception]] = []
             for index in pending:
                 self.stats.attempts += 1
                 try:
-                    if self._active_pool is not None:
-                        result, seconds = futures[index].result()
-                    else:
-                        result, seconds = task(
-                            (index, attempt, payloads[index])
-                        )
+                    result, seconds = task(
+                        (index, attempt, payloads[index])
+                    )
                     if (
                         policy.timeout is not None
                         and seconds > policy.timeout
@@ -485,9 +388,6 @@ class MapReduceJob(Generic[K, V]):
                             f"deadline {policy.timeout}s"
                         )
                     results[index] = result
-                except BrokenProcessPool as exc:
-                    self._refresh_pool()
-                    failed.append((index, exc))
                 except Exception as exc:
                     failed.append((index, exc))
             if self.metrics is not None:
@@ -550,55 +450,6 @@ class MapReduceJob(Generic[K, V]):
             return None
         return resplit(survivors)
 
-    def _submit(self, task, index: int, attempt: int, payload):
-        """Submit one guarded task, recreating a broken pool on demand."""
-        try:
-            return self._active_pool.submit(
-                task, (index, attempt, payload)
-            )
-        except (BrokenProcessPool, RuntimeError):
-            # Submitting to a pool that broke (or was shut down) mid-run
-            # raises immediately; refresh once and resubmit.
-            self._refresh_pool()
-            return self._active_pool.submit(
-                task, (index, attempt, payload)
-            )
-
-    def _refresh_pool(self) -> None:
-        if self._active_pool is None:
-            return
-        _discard_pool(self._worker_count())
-        self._active_pool = _shared_pool(self._worker_count())
-
-    # ------------------------------------------------------------------
-    def _worker_count(self) -> int:
-        return self.max_workers or os.cpu_count() or 1
-
-    def _check_picklable(self) -> None:
-        try:
-            pickle.dumps((self.mapper, self.reducer, self.combiner))
-        except Exception as exc:
-            raise ReproError(
-                "the process executor needs picklable job functions "
-                "(module-level functions or functools.partial over them); "
-                f"pickling failed with: {exc!r}"
-            ) from exc
-
-    def _chunk_groups(
-        self, keys: list[K], shuffled: dict[K, list[V]]
-    ) -> list[list[tuple[K, list[V]]]]:
-        """Key-groups batched into roughly 4 chunks per worker.
-
-        Chunking amortizes per-task pickling overhead while keeping
-        enough tasks in flight to balance skewed groups.
-        """
-        target_chunks = self._worker_count() * 4
-        chunk_size = max(1, -(-len(keys) // target_chunks))
-        return [
-            [(key, shuffled[key]) for key in keys[start : start + chunk_size]]
-            for start in range(0, len(keys), chunk_size)
-        ]
-
     def _split(self, records: Iterable[Any]) -> list[list[Any]]:
         partitions: list[list[Any]] = [[] for _ in range(self.partitions)]
         for index, record in enumerate(records):
@@ -606,38 +457,12 @@ class MapReduceJob(Generic[K, V]):
         return partitions
 
 
-class _MapTask:
-    """Picklable callable binding a mapper/combiner for pool dispatch."""
-
-    __slots__ = ("mapper", "combiner")
-
-    def __init__(self, mapper: Mapper, combiner: Combiner | None) -> None:
-        self.mapper = mapper
-        self.combiner = combiner
-
-    def __call__(self, partition: list[Any]):
-        return _map_partition(self.mapper, self.combiner, partition)
-
-
-class _ReduceTask:
-    """Picklable callable binding a reducer for pool dispatch."""
-
-    __slots__ = ("reducer",)
-
-    def __init__(self, reducer: Reducer) -> None:
-        self.reducer = reducer
-
-    def __call__(self, groups: list[tuple[Any, list[Any]]]):
-        return _reduce_chunk(self.reducer, groups)
-
-
 class _GuardedTask:
     """Guarded-path task wrapper: fault hooks plus duration measurement.
 
     Called with ``(index, attempt, payload)`` so the fault plan can
     address tasks deterministically; returns ``(result, seconds)``
-    where seconds include any injected slow-call time.  Picklable for
-    the process executor (the plan rides along read-only).
+    where seconds include any injected slow-call time.
     """
 
     __slots__ = ("task", "scope", "plan")
@@ -662,6 +487,17 @@ class _GuardedTask:
 # "Retries disabled": the guarded path with a one-attempt budget, used
 # when a fault plan is set without a retry policy.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)
+
+
+def _chunk_groups(
+    keys: list[Any], shuffled: dict[Any, list[Any]]
+) -> list[list[tuple[Any, list[Any]]]]:
+    """Key-groups batched into at most :data:`REDUCE_CHUNKS` tasks."""
+    chunk_size = max(1, -(-len(keys) // REDUCE_CHUNKS))
+    return [
+        [(key, shuffled[key]) for key in keys[start : start + chunk_size]]
+        for start in range(0, len(keys), chunk_size)
+    ]
 
 
 def _merge_partition_results(survivors: list[Any]):
@@ -721,18 +557,11 @@ def _wc_combiner(_word: str, counts: list[int]) -> list[int]:
     return [sum(counts)]
 
 
-def word_count(
-    documents: Iterable[str],
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-) -> dict[str, int]:
+def word_count(documents: Iterable[str]) -> dict[str, int]:
     """The canonical demo job; doubles as an engine self-test."""
     job: MapReduceJob[str, int] = MapReduceJob(
         mapper=_wc_mapper,
         reducer=_wc_reducer,
         combiner=_wc_combiner,
-        executor=executor,
-        max_workers=max_workers,
     )
     return dict(job.run(documents))

@@ -20,9 +20,8 @@ The cache layer here is deliberately boring:
   (tested), and :func:`configure_similarity_caches` can disable the
   layer globally for debugging or measurement.
 
-Caches are per-process: worker processes spawned by the parallel
-execution layer each warm their own table, which is exactly the
-behaviour a distributed deployment would have.
+Caches are per-process: each process warms its own table, which is
+exactly the behaviour a distributed deployment would have.
 """
 
 from __future__ import annotations

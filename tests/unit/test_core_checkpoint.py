@@ -16,6 +16,13 @@ from repro.synth.world import WorldConfig
 
 
 class TestConfigFingerprint:
+    def test_default_fingerprint_is_pinned(self):
+        # Golden value: existing checkpoint directories written by a
+        # default config stay resumable when execution knobs come and go.
+        assert config_fingerprint(PipelineConfig()) == (
+            "54a451e6f8ce3515afecdd556c9d89b10beadcb24e0dd7352735f615b98bd0ed"
+        )
+
     def test_identical_configs_share_a_fingerprint(self):
         assert config_fingerprint(PipelineConfig()) == config_fingerprint(
             PipelineConfig()
@@ -32,12 +39,10 @@ class TestConfigFingerprint:
         assert config_fingerprint(base) != config_fingerprint(toggled)
 
     def test_execution_knobs_do_not_change_the_fingerprint(self):
-        # A run interrupted by an injected fault (or run with different
-        # parallelism) must be resumable by a clean config.
+        # A run interrupted by an injected fault must be resumable by a
+        # clean config.
         base = PipelineConfig()
         execution_only = PipelineConfig(
-            parallelism=4,
-            fusion_parallelism=2,
             retry=RetryPolicy(max_attempts=5),
             fault_plan=FaultPlan(seed=1).crash("stage:fusion"),
             checkpoint_dir="/tmp/somewhere",

@@ -36,12 +36,6 @@ def _poison_mapper(record):
     yield record, 1
 
 
-def _exit_mapper(record):
-    # Simulates a segfaulting/OOM-killed worker: the process dies
-    # without raising, which breaks the whole ProcessPoolExecutor.
-    os._exit(1)
-
-
 def _job(**kwargs) -> MapReduceJob:
     return MapReduceJob(_mapper, _reducer, partitions=3, **kwargs)
 
@@ -225,33 +219,30 @@ class TestGuardedExecution:
         assert isinstance(legacy.stats, JobStats)
 
 
-class TestProcessExecutorFaults:
-    def test_faulty_process_run_matches_clean_serial_run(self):
-        plan = FaultPlan(seed=1).crash("map", index=0, attempts=1)
-        job = MapReduceJob(
-            _mapper, _reducer, partitions=3, executor="process",
-            max_workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fault_plan=plan,
-        )
-        assert job.run(WORDS) == _clean_output()
-        assert job.stats.retries == 1
+class TestReduceChunking:
+    def test_fault_plan_outcome_independent_of_cpu_count(self, monkeypatch):
+        # Reduce chunk boundaries decide which keys a "reduce" fault
+        # index hits; they must not move with the machine.
+        def run():
+            job = MapReduceJob(
+                lambda x: [(x % 40, 1)],
+                _reducer,
+                retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                fault_plan=FaultPlan(seed=1).crash(
+                    "reduce", index=5, attempts=1
+                ),
+            )
+            return job.run(range(400)), job.stats
 
-    def test_broken_pool_does_not_poison_subsequent_jobs(self):
-        # A worker that dies mid-task breaks the shared pool; the next
-        # job asking for the same worker count must get a fresh pool
-        # instead of the broken cached one.
-        dying = MapReduceJob(
-            _exit_mapper, _reducer, partitions=2, executor="process",
-            max_workers=2,
-        )
-        with pytest.raises(Exception):
-            dying.run(WORDS)
-        healthy = MapReduceJob(
-            _mapper, _reducer, partitions=2, executor="process",
-            max_workers=2,
-        )
-        assert healthy.run(WORDS) == _clean_output()
+        outcomes = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            outcomes.append(run())
+        (one_output, one_stats), (eight_output, eight_stats) = outcomes
+        assert one_output == eight_output
+        assert len(one_output) == 40
+        assert one_stats == eight_stats
+        assert one_stats.retries == 1
 
 
 class TestFusionJobPassthrough:
