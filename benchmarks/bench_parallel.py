@@ -3,9 +3,9 @@
 Measures three things and verifies, in the same breath, that none of
 them changes a single output:
 
-1.  **Retry-path overhead** — VOTE and ACCU MapReduce jobs with the
-    guarded (retrying) dispatch path off vs on and zero faults; the
-    fused decisions must be byte-identical.
+1.  **Retry-policy overhead** — VOTE and ACCU MapReduce jobs with the
+    retry policy off vs on and zero faults, over the engine's one
+    dispatch path; the fused decisions must be byte-identical.
 2.  **Pipeline snapshot** — one end-to-end pipeline run: wall clock,
     per-stage times, similarity-cache hit rates and the deterministic
     metric subset.
@@ -45,6 +45,8 @@ from repro.textproc.memo import (
 )
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+# Timed runs per retry setting in Section 1 (best one is reported).
+REPEATS = 6
 
 
 # ----------------------------------------------------------------------
@@ -87,16 +89,18 @@ def _pipeline_config(quick: bool, **overrides) -> PipelineConfig:
 
 
 # ----------------------------------------------------------------------
-# Section 1: retry-path overhead (guarded dispatch, zero faults).
+# Section 1: retry-policy overhead (one dispatch path, zero faults).
 
 
 def run_retry_section(quick: bool) -> dict:
-    """Cost of the fault-tolerance layer when nothing fails.
+    """Cost of a retry policy when nothing fails.
 
-    The guarded dispatch path (attempt bookkeeping, per-task duration
-    measurement, wave loop) engages whenever a retry policy is set —
-    this section runs the same jobs with retries disabled vs enabled
-    and zero injected faults, so the delta is pure retry-path overhead.
+    Every job runs its map partitions and reduce chunks as dispatched
+    tasks (attempt bookkeeping, per-task duration measurement, wave
+    loop); a retry policy only widens the attempt budget.  This section
+    runs the same jobs with retries off (one attempt) vs on and zero
+    injected faults, so the delta is what the policy itself costs
+    (best of :data:`REPEATS` runs each, alternating which goes first).
     The ratio is reported, not asserted: it is noise-dominated on tiny
     workloads and that is fine — the contract is identical output.
     """
@@ -111,25 +115,26 @@ def run_retry_section(quick: bool) -> dict:
         ("VOTE", lambda claims, **kw: mr_vote(claims, **kw)),
         ("ACCU", lambda claims, **kw: mr_accu(claims, rounds=rounds, **kw)),
     ):
-        started = time.perf_counter()
-        plain = job(world.claims, partitions=4)
-        plain_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        guarded = job(world.claims, partitions=4, retry=policy)
-        guarded_seconds = time.perf_counter() - started
+        # Alternate which setting runs first and keep each one's best
+        # of REPEATS, so warm-up and ordering do not show up as overhead.
+        settings = [("off", {}), ("on", {"retry": policy})]
+        best = {"off": float("inf"), "on": float("inf")}
+        outputs = {}
+        for repeat in range(REPEATS):
+            for name, kwargs in settings[:: 1 if repeat % 2 == 0 else -1]:
+                started = time.perf_counter()
+                outputs[name] = job(world.claims, partitions=4, **kwargs)
+                best[name] = min(best[name], time.perf_counter() - started)
 
         records.append(
             {
                 "job": job_name,
                 "claims": len(world.claims),
-                "plain_seconds": round(plain_seconds, 4),
-                "guarded_seconds": round(guarded_seconds, 4),
-                "overhead_ratio": round(
-                    guarded_seconds / plain_seconds, 3
-                ),
-                "identical": _canonical_fusion_bytes(guarded)
-                == _canonical_fusion_bytes(plain),
+                "retries_off_seconds": round(best["off"], 4),
+                "retries_on_seconds": round(best["on"], 4),
+                "overhead_ratio": round(best["on"] / best["off"], 3),
+                "identical": _canonical_fusion_bytes(outputs["on"])
+                == _canonical_fusion_bytes(outputs["off"]),
             }
         )
     return {"items": n_items, "accu_rounds": rounds, "runs": records}
@@ -140,8 +145,8 @@ def retry_table(section: dict) -> str:
         [
             record["job"],
             record["claims"],
-            f"{record['plain_seconds'] * 1000:.1f}ms",
-            f"{record['guarded_seconds'] * 1000:.1f}ms",
+            f"{record['retries_off_seconds'] * 1000:.1f}ms",
+            f"{record['retries_on_seconds'] * 1000:.1f}ms",
             f"{record['overhead_ratio']:.2f}x",
             "yes" if record["identical"] else "NO",
         ]
@@ -151,7 +156,7 @@ def retry_table(section: dict) -> str:
         ["job", "claims", "retries off", "retries on (0 faults)",
          "overhead", "identical"],
         rows,
-        title="Retry path: guarded dispatch overhead with zero faults",
+        title="Retry policy: overhead with zero faults",
     )
 
 
@@ -364,7 +369,7 @@ def main(argv=None) -> int:
     print(f"\nwrote {OUT_DIR / 'BENCH_parallel.json'}")
     failures = []
     if not all(r["identical"] for r in document["retry_overhead"]["runs"]):
-        failures.append("guarded (retry) outputs diverged")
+        failures.append("retries-on outputs diverged from retries-off")
     if not document["similarity_cache"]["identical_output"]:
         failures.append("cached attribute resolution diverged")
     for failure in failures:

@@ -28,13 +28,14 @@ Fault tolerance
     mechanisms keep a run alive (all deterministic, all testable
     without wall-clock waits):
 
-    * **Stage isolation** — each extraction stage runs inside a guard:
-      an exception (or a deadline overrun against
+    * **Stage isolation** — every stage runs through one runner that
+      books its time, span and metrics.  In an extraction stage an
+      exception (or a deadline overrun against
       ``PipelineConfig.stage_timeout``) marks the stage ``degraded`` in
       ``PipelineReport.health`` and the pipeline continues with the
-      remaining sources.  If fewer than ``min_sources`` extractor
-      outputs survive, the run aborts with :class:`PipelineError` —
-      fusing one source is no fusion at all.
+      remaining sources; a later stage re-raises.  If fewer than
+      ``min_sources`` extractor outputs survive, the run aborts with
+      :class:`PipelineError` — fusing one source is no fusion at all.
     * **Record quarantine** — malformed input records (and records
       corrupted by an injected fault plan) are diverted to a
       :class:`~repro.core.quarantine.Quarantine` sink with per-source
@@ -541,90 +542,6 @@ def _valid_document(record: object) -> bool:
     )
 
 
-# ----------------------------------------------------------------------
-# Extraction stage bodies: functions of (world, config), each returning
-# its measured wall time last.
-
-
-def _kb_stage(world: GroundTruthWorld, kb_pair_config: KbPairConfig):
-    """Stage 1: build the KB snapshots and extract/combine their claims."""
-    started = time.perf_counter()
-    freebase, dbpedia = build_kb_pair(world, kb_pair_config)
-    freebase_output = KbExtractor(freebase).extract()
-    dbpedia_output = KbExtractor(dbpedia).extract()
-    kb_output = combine_kb_outputs([freebase_output, dbpedia_output])
-    return freebase, dbpedia, kb_output, time.perf_counter() - started
-
-
-def _querylog_stage(world: GroundTruthWorld, querylog_config: QueryLogConfig):
-    """Stage 2a: generate the query stream (extraction needs Set_E)."""
-    started = time.perf_counter()
-    log = generate_query_log(world, querylog_config)
-    return log, time.perf_counter() - started
-
-
-def _dom_stage(
-    entity_index,
-    seeds: dict[str, SeedSet],
-    dom_config: DomExtractorConfig,
-    world: GroundTruthWorld,
-    website_config: WebsiteConfig,
-    fault_plan: FaultPlan | None = None,
-    quarantine_capacity: int = 1000,
-):
-    """Stage 4: generate websites and run Algorithm 1 over them.
-
-    Pages pass through a record guard before extraction; diverted pages
-    land in a stage-local quarantine that the caller merges back in one
-    capacity check.
-    """
-    started = time.perf_counter()
-    sites = generate_websites(world, website_config)
-    local_quarantine = Quarantine(capacity=quarantine_capacity)
-    page_index = 0
-    for site in sites:
-        page_count = len(site.pages)
-        site.pages = guard_records(
-            site.pages, _valid_page, local_quarantine, "dom",
-            plan=fault_plan, scope="records:dom", start_index=page_index,
-        )
-        page_index += page_count
-    extractor = DomTreeExtractor(entity_index, seeds, dom_config)
-    output = extractor.extract(sites)
-    return (
-        output,
-        extractor.mention_classes,
-        local_quarantine,
-        time.perf_counter() - started,
-    )
-
-
-def _webtext_stage(
-    entity_index,
-    seeds: dict[str, SeedSet],
-    kb_triples,
-    world: GroundTruthWorld,
-    webtext_config: WebTextConfig,
-    extractor_config: WebTextExtractorConfig,
-    fault_plan: FaultPlan | None = None,
-    quarantine_capacity: int = 1000,
-):
-    """Stage 5: generate Web texts and run the seed-driven extractor."""
-    started = time.perf_counter()
-    documents = generate_webtext(world, webtext_config)
-    local_quarantine = Quarantine(capacity=quarantine_capacity)
-    documents = guard_records(
-        documents, _valid_document, local_quarantine, "webtext",
-        plan=fault_plan, scope="records:webtext",
-    )
-    extractor = WebTextExtractor(
-        entity_index, seeds, kb_triples, extractor_config
-    )
-    extractor.learn(documents)
-    output = extractor.extract(documents)
-    return output, local_quarantine, time.perf_counter() - started
-
-
 class KnowledgeBaseConstructionPipeline:
     """Run the whole Figure-1 framework over one world."""
 
@@ -764,7 +681,7 @@ class KnowledgeBaseConstructionPipeline:
             # -- 5b. Joint entity linking + discovery ----------------------
             if cfg.discover_new_entities:
                 with self._stage_timer(report, "entity-resolution") as timing:
-                    self._check_fatal_fault("entity-resolution")
+                    self._inject_stage_fault(timing)
                     resolver = JointEntityResolver(
                         EntityLinker(
                             self.entity_index,
@@ -786,13 +703,13 @@ class KnowledgeBaseConstructionPipeline:
             # -- 6. Attribute resolution ----------------------------------
             if cfg.resolve_attributes:
                 with self._stage_timer(report, "attribute-resolution") as timing:
-                    self._check_fatal_fault("attribute-resolution")
+                    self._inject_stage_fault(timing)
                     all_triples = self._resolve_attributes(all_triples)
                     timing.detail = f"{len(all_triples)} claims"
 
             # -- 7. Confidence scoring ------------------------------------
             with self._stage_timer(report, "confidence") as timing:
-                self._check_fatal_fault("confidence")
+                self._inject_stage_fault(timing)
                 scorer = ConfidenceScorer(cfg.confidence)
                 all_triples = scorer.score_batch(all_triples)
                 for output in self.outputs.values():
@@ -824,7 +741,7 @@ class KnowledgeBaseConstructionPipeline:
         # -- 8. Fusion -----------------------------------------------------
         self.all_triples = all_triples
         with self._stage_timer(report, "fusion") as timing:
-            self._check_fatal_fault("fusion")
+            self._inject_stage_fault(timing)
             self.claims = ClaimSet.from_scored_triples(all_triples)
             functional_of = self._select_functional_oracle(self.claims)
             fusion = self._build_fusion(functional_of)
@@ -838,8 +755,8 @@ class KnowledgeBaseConstructionPipeline:
             )
 
         # -- 9. Evaluation --------------------------------------------------
-        with self._stage_timer(report, "evaluation"):
-            self._check_fatal_fault("evaluation")
+        with self._stage_timer(report, "evaluation") as timing:
+            self._inject_stage_fault(timing)
             evaluated = self._remap_for_evaluation(
                 result, report.entity_resolution
             )
@@ -847,7 +764,7 @@ class KnowledgeBaseConstructionPipeline:
 
         # -- 10. Augmentation ------------------------------------------------
         with self._stage_timer(report, "augmentation") as timing:
-            self._check_fatal_fault("augmentation")
+            self._inject_stage_fault(timing)
             if self.freebase is None:
                 # The KB stage degraded away: there is no snapshot to
                 # augment, but fusion/evaluation above still ran.
@@ -899,29 +816,20 @@ class KnowledgeBaseConstructionPipeline:
     # ------------------------------------------------------------------
     # Observability helpers.
 
-    def _stage_timer(self, report: PipelineReport, stage: str) -> "_timed":
-        """A ``_timed`` wired to this run's tracer and metrics."""
-        return _timed(
-            report, stage, tracer=self.tracer, metrics=self.metrics
-        )
+    def _stage_timer(
+        self, report: PipelineReport, stage: str, *, isolate: bool = False
+    ) -> "_timed":
+        """A ``_timed`` wired to this run's tracer, metrics and deadline.
 
-    def _record_stage(
-        self, report: PipelineReport, stage: str, seconds: float, detail: str
-    ) -> None:
-        """Book one completed extraction stage everywhere at once.
-
-        The stage body measured its own ``seconds`` (plus any injected
-        slow-call seconds), so the span is back-dated rather than
-        live-timed.
+        ``isolate=True`` marks an extraction stage: its failures degrade
+        the stage instead of aborting the run, and ``stage_timeout``
+        applies to it.
         """
-        report.timings.append(StageTiming(stage, seconds, detail))
-        self.tracer.record(stage, seconds, detail=detail)
-        self.metrics.histogram(
-            "pipeline_stage_seconds", stage=stage
-        ).observe(seconds)
-        self.metrics.counter(
-            "pipeline_stage_success_total", stage=stage
-        ).inc()
+        return _timed(
+            report, stage, tracer=self.tracer, metrics=self.metrics,
+            timeout=self.config.stage_timeout if isolate else None,
+            isolate=isolate,
+        )
 
     def _publish_fusion_metrics(self, report: PipelineReport, result) -> None:
         """Kernel-level fusion accounting: rounds, convergence, components."""
@@ -944,53 +852,23 @@ class KnowledgeBaseConstructionPipeline:
             component_sizes.observe(size)
 
     # ------------------------------------------------------------------
-    def _check_fatal_fault(self, stage: str) -> None:
-        """Fire any injected fault targeting a post-extraction stage.
+    def _inject_stage_fault(self, timing: StageTiming) -> None:
+        """Fire the fault plan's ``stage:<name>`` hook at the top of a stage.
 
-        These stages are not isolated (their outputs feed everything
-        downstream), so an injected crash here aborts the run — exactly
-        the scenario checkpoint/resume exists for.
+        An injected crash raises into the stage's ``_timed``: extraction
+        stages degrade, later stages abort the run (their outputs feed
+        everything downstream — the scenario checkpoint/resume exists
+        for).  Injected slow seconds are booked onto the timing, so
+        deadline tests never actually sleep.
         """
         plan = self.config.fault_plan
         if plan is not None:
-            plan.task_delay(f"stage:{stage}", 0, 0)
+            timing.seconds += plan.task_delay(f"stage:{timing.stage}", 0, 0)
 
-    def _guarded_stage(self, report: PipelineReport, stage: str, call):
-        """Run one extraction stage inside an isolation boundary.
-
-        ``call`` must return a tuple whose last element is the stage's
-        measured work seconds.  On success returns that tuple with any
-        injected slow-seconds folded into the timing (so deadline tests
-        never actually sleep); on exception — organic, injected, or a
-        :class:`StageTimeoutError` raised here when the stage exceeds
-        ``stage_timeout`` — marks the stage degraded in the report's
-        health section and returns None, and the pipeline continues
-        with the remaining sources.
-        """
-        cfg = self.config
-        try:
-            extra = 0.0
-            if cfg.fault_plan is not None:
-                extra = cfg.fault_plan.task_delay(f"stage:{stage}", 0, 0)
-            result = call()
-            seconds = result[-1] + extra
-            if cfg.stage_timeout is not None and seconds > cfg.stage_timeout:
-                raise StageTimeoutError(
-                    f"stage {stage} ran {seconds:.3f}s, "
-                    f"over the {cfg.stage_timeout}s deadline"
-                )
-            return result[:-1] + (seconds,)
-        except Exception as exc:  # noqa: BLE001 — the isolation boundary
-            reason = f"{type(exc).__name__}: {exc}"
-            report.health.mark_degraded(stage, reason)
-            self.tracer.record(stage, 0.0, detail=reason, failed=True)
-            self.metrics.counter(
-                "pipeline_stage_failed_total", stage=stage
-            ).inc()
-            return None
-
-    def _guard_input(self, records, validator, source: str):
-        """Divert malformed records of one parent-side input stream."""
+    def _guard_input(
+        self, records, validator, source: str, start_index: int = 0
+    ):
+        """Divert malformed records of one input stream to the quarantine."""
         return guard_records(
             records,
             validator,
@@ -998,6 +876,7 @@ class KnowledgeBaseConstructionPipeline:
             source,
             plan=self.config.fault_plan,
             scope=f"records:{source}",
+            start_index=start_index,
         )
 
     # ------------------------------------------------------------------
@@ -1005,61 +884,50 @@ class KnowledgeBaseConstructionPipeline:
         """Stages 1-5: run the four extractors.
 
         Returns the DOM extractor's mention-surface → class map (used by
-        joint entity resolution).  Every stage runs inside
-        :meth:`_guarded_stage`, so one crashing extractor degrades its
-        source instead of killing the run.
+        joint entity resolution).  Every stage runs as an isolated
+        ``_timed``, so one crashing or overrunning extractor degrades its
+        source instead of killing the run; a stage's output is kept only
+        when the stage did not fail.  Records a stage diverted before it
+        failed stay in the quarantine.
         """
         world = self.world
         cfg = self.config
-        plan = cfg.fault_plan
 
         # -- 1. KB snapshots + KB extraction -------------------------------
         kb_output = None
-        kb_result = self._guarded_stage(
-            report, "kb-extraction", lambda: _kb_stage(world, cfg.kb_pair)
-        )
-        if kb_result is not None:
-            self.freebase, self.dbpedia, kb_output, kb_seconds = kb_result
-            self.outputs["kb"] = kb_output
-            self._record_stage(
-                report, "kb-extraction", kb_seconds,
-                f"{len(kb_output.triples)} claims",
+        stage = self._stage_timer(report, "kb-extraction", isolate=True)
+        with stage as timing:
+            self._inject_stage_fault(timing)
+            freebase, dbpedia = build_kb_pair(world, cfg.kb_pair)
+            combined = combine_kb_outputs(
+                [KbExtractor(freebase).extract(), KbExtractor(dbpedia).extract()]
             )
+            timing.detail = f"{len(combined.triples)} claims"
+        if not stage.failed:
+            self.freebase, self.dbpedia = freebase, dbpedia
+            self.outputs["kb"] = kb_output = combined
 
         self.entity_index = (
             self._set_e_index() if self.freebase is not None else {}
         )
 
         # -- 2. Query-stream generation + extraction (needs Set_E) ---------
-        def query_stream_call():
-            log, log_seconds = _querylog_stage(world, cfg.querylog)
-            log = self._guard_input(log, _valid_query_record, "querystream")
-            started = time.perf_counter()
-            extractor = QueryStreamExtractor(
-                self.entity_index, cfg.querystream
-            )
-            query_output, query_stats = extractor.extract(log)
-            return (
-                query_output,
-                query_stats,
-                len(log),
-                log_seconds + (time.perf_counter() - started),
-            )
-
         query_output = None
-        query_result = self._guarded_stage(
-            report, "query-stream", query_stream_call
-        )
-        if query_result is not None:
-            query_output, query_stats, record_count, query_seconds = (
-                query_result
+        stage = self._stage_timer(report, "query-stream", isolate=True)
+        with stage as timing:
+            self._inject_stage_fault(timing)
+            log = self._guard_input(
+                generate_query_log(world, cfg.querylog),
+                _valid_query_record,
+                "querystream",
             )
-            self.outputs["querystream"] = query_output
+            extracted, query_stats = QueryStreamExtractor(
+                self.entity_index, cfg.querystream
+            ).extract(log)
+            timing.detail = f"{len(log)} records"
+        if not stage.failed:
+            self.outputs["querystream"] = query_output = extracted
             report.query_stats = query_stats
-            self._record_stage(
-                report, "query-stream", query_seconds,
-                f"{record_count} records",
-            )
 
         # -- 3. Seed sets --------------------------------------------------
         seed_outputs = [
@@ -1074,51 +942,50 @@ class KnowledgeBaseConstructionPipeline:
             class_name: len(seed) for class_name, seed in self.seeds.items()
         }
 
-        # -- 4+5. DOM + Web-text extraction --------------------------------
+        # -- 4. DOM extraction (Algorithm 1) -------------------------------
         dom_config = cfg.dom
         if cfg.discover_new_entities:
             dom_config = replace(dom_config, allow_mention_anchors=True)
-        kb_triples = kb_output.triples if kb_output is not None else []
-
-        def dom_stage_call():
-            output, mention_classes, local_quarantine, seconds = _dom_stage(
-                self.entity_index, self.seeds, dom_config,
-                world, cfg.websites, plan, cfg.quarantine_capacity,
-            )
-            self.quarantine.merge(local_quarantine)
-            return output, mention_classes, seconds
-
         mention_classes: dict[str, str] = {}
-        dom_result = self._guarded_stage(
-            report, "dom-extraction", dom_stage_call
-        )
-        if dom_result is not None:
-            dom_output, mention_classes, dom_seconds = dom_result
+        stage = self._stage_timer(report, "dom-extraction", isolate=True)
+        with stage as timing:
+            self._inject_stage_fault(timing)
+            sites = generate_websites(world, cfg.websites)
+            page_index = 0
+            for site in sites:
+                page_count = len(site.pages)
+                site.pages = self._guard_input(
+                    site.pages, _valid_page, "dom", start_index=page_index
+                )
+                page_index += page_count
+            dom_extractor = DomTreeExtractor(
+                self.entity_index, self.seeds, dom_config
+            )
+            dom_output = dom_extractor.extract(sites)
+            timing.detail = f"{len(dom_output.triples)} claims"
+        if not stage.failed:
             self.outputs["dom"] = dom_output
-            self._record_stage(
-                report, "dom-extraction", dom_seconds,
-                f"{len(dom_output.triples)} claims",
-            )
+            mention_classes = dom_extractor.mention_classes
 
-        def text_stage_call():
-            output, local_quarantine, seconds = _webtext_stage(
+        # -- 5. Web-text extraction ----------------------------------------
+        kb_triples = kb_output.triples if kb_output is not None else []
+        stage = self._stage_timer(report, "webtext-extraction", isolate=True)
+        with stage as timing:
+            self._inject_stage_fault(timing)
+            documents = self._guard_input(
+                generate_webtext(world, cfg.webtext),
+                _valid_document,
+                "webtext",
+            )
+            text_extractor = WebTextExtractor(
                 self.entity_index, self.seeds, kb_triples,
-                world, cfg.webtext, cfg.webtext_extractor,
-                plan, cfg.quarantine_capacity,
+                cfg.webtext_extractor,
             )
-            self.quarantine.merge(local_quarantine)
-            return output, seconds
-
-        text_result = self._guarded_stage(
-            report, "webtext-extraction", text_stage_call
-        )
-        if text_result is not None:
-            text_output, text_seconds = text_result
+            text_extractor.learn(documents)
+            text_output = text_extractor.extract(documents)
+            timing.detail = f"{len(text_output.triples)} claims"
+        if not stage.failed:
             self.outputs["webtext"] = text_output
-            self._record_stage(
-                report, "webtext-extraction", text_seconds,
-                f"{len(text_output.triples)} claims",
-            )
         return mention_classes
 
     # ------------------------------------------------------------------
@@ -1618,14 +1485,22 @@ class KnowledgeBaseConstructionPipeline:
 
 
 class _timed:
-    """Context manager recording a stage timing into a report.
+    """The stage runner: books one stage into the report, trace and metrics.
 
-    The timing is appended whether or not the block raises: a failed
-    stage still spent the time, and dropping it made degraded-run
-    reports under-count wall-clock work.  Failures are marked in the
-    timing detail (``failed: <ExcType>``) and, when a tracer/metrics
-    pair is attached, in the span status and the
-    ``pipeline_stage_failed_total`` counter.
+    Opens a live span and times the block.  The timing is appended
+    whether or not the block raises: a failed stage still spent the
+    time.  The booked seconds are the measured time plus whatever the
+    block added to ``timing.seconds`` (injected slow-call seconds); a
+    total over ``timeout`` fails the stage with
+    :class:`StageTimeoutError`.
+    Failures are marked in the timing detail (``failed: <ExcType>``),
+    the report's health section and, when a tracer/metrics pair is
+    attached, in the span status and the ``pipeline_stage_failed_total``
+    counter.
+
+    With ``isolate=True`` (the extraction stages) a failure is
+    swallowed and :attr:`failed` tells the caller to drop the stage's
+    output; otherwise it re-raises.
     """
 
     def __init__(
@@ -1635,12 +1510,17 @@ class _timed:
         *,
         tracer: SpanTracer | None = None,
         metrics: MetricsRegistry | None = None,
+        timeout: float | None = None,
+        isolate: bool = False,
     ) -> None:
         self.report = report
         self.stage = stage
         self.timing = StageTiming(stage, 0.0)
+        self.failed = False
         self._tracer = tracer
         self._metrics = metrics
+        self._timeout = timeout
+        self._isolate = isolate
         self._span = None
 
     def __enter__(self) -> StageTiming:
@@ -1649,10 +1529,20 @@ class _timed:
         self._start = time.perf_counter()
         return self.timing
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.timing.seconds = time.perf_counter() - self._start
-        failed = exc_type is not None
-        if failed:
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.timing.seconds += time.perf_counter() - self._start
+        if (
+            exc_type is None
+            and self._timeout is not None
+            and self.timing.seconds > self._timeout
+        ):
+            exc_type = StageTimeoutError
+            exc = StageTimeoutError(
+                f"stage {self.stage} ran {self.timing.seconds:.3f}s, "
+                f"over the {self._timeout}s deadline"
+            )
+        self.failed = exc_type is not None
+        if self.failed:
             marker = f"failed: {exc_type.__name__}"
             self.timing.detail = (
                 f"{self.timing.detail}; {marker}"
@@ -1663,13 +1553,18 @@ class _timed:
             )
         self.report.timings.append(self.timing)
         if self._span is not None:
-            self._span.end(detail=self.timing.detail, failed=failed)
+            self._span.end(detail=self.timing.detail, failed=self.failed)
         if self._metrics is not None:
             self._metrics.histogram(
                 "pipeline_stage_seconds", stage=self.stage
             ).observe(self.timing.seconds)
             outcome = (
                 "pipeline_stage_failed_total"
-                if failed else "pipeline_stage_success_total"
+                if self.failed else "pipeline_stage_success_total"
             )
             self._metrics.counter(outcome, stage=self.stage).inc()
+        return (
+            self._isolate
+            and exc_type is not None
+            and issubclass(exc_type, Exception)
+        )

@@ -16,20 +16,20 @@ order, reducer input preserves emission order and reducers run in
 sorted key order, so the output is a function of the records and the
 partition count alone.
 
-Fault tolerance: passing a :class:`RetryPolicy` (or a
-:class:`repro.faults.FaultPlan`) switches a job onto a guarded dispatch
-path where every map partition and reduce chunk is an individually
-retried task — deterministic exponential backoff (injectable ``sleep``
-and ``clock``, so tests never wait), per-task deadlines checked against
-measured duration, and optional re-splitting of a poison partition down
-to single records to isolate (and drop-count) the offending one.
-Reduce key-groups are batched into at most :data:`REDUCE_CHUNKS`
-chunks, a function of the key count alone, so a fault plan's
-``"reduce"`` task index names the same keys on every machine.  A task
-that fails every allowed attempt raises
-:class:`~repro.errors.RetryExhaustedError`; retries of a
-deterministic task cannot change its result, so output stays
-byte-identical to an unfaulted run whenever the job completes.
+Fault tolerance: every map partition and reduce chunk runs as an
+individually retried task under the job's :class:`RetryPolicy` (one
+attempt when none is given) — deterministic exponential backoff
+(injectable ``sleep`` and ``clock``, so tests never wait), per-task
+deadlines checked against measured duration, and optional re-splitting
+of a poison partition down to single records to isolate (and
+drop-count) the offending one.  A :class:`repro.faults.FaultPlan`
+hooks into the same task wrappers.  Reduce key-groups are batched into
+at most :data:`REDUCE_CHUNKS` chunks, a function of the key count
+alone, so a fault plan's ``"reduce"`` task index names the same keys
+on every machine.  A task that fails every allowed attempt raises
+:class:`~repro.errors.RetryExhaustedError`; retries of a deterministic
+task cannot change its result, so output stays byte-identical to an
+unfaulted run whenever the job completes.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ Mapper = Callable[[Any], Iterable[tuple[K, V]]]
 Reducer = Callable[[K, list[V]], Iterable[Any]]
 Combiner = Callable[[K, list[V]], Iterable[V]]
 
-# Upper bound on the guarded path's reduce tasks.  Fixed, so chunk
-# boundaries (and the fault-plan indexes that address them) do not
-# depend on the machine.
+# Upper bound on a job's reduce tasks.  Fixed, so chunk boundaries
+# (and the fault-plan indexes that address them) do not depend on the
+# machine.
 REDUCE_CHUNKS = 8
 
 
@@ -61,9 +61,8 @@ REDUCE_CHUNKS = 8
 class JobStats:
     """Counters of one job execution.
 
-    The retry counters (``attempts`` onward) are populated only on the
-    guarded dispatch path — a job run without a retry policy or fault
-    plan leaves them at zero.
+    ``attempts`` counts every task run: map partitions plus reduce
+    chunks on an unfaulted job, more when tasks are retried.
     """
 
     input_records: int = 0
@@ -71,7 +70,7 @@ class JobStats:
     combine_output_records: int = 0
     reduce_groups: int = 0
     output_records: int = 0
-    # Guarded-path counters:
+    # Task-dispatch counters:
     attempts: int = 0
     retries: int = 0
     timed_out_tasks: int = 0
@@ -80,7 +79,7 @@ class JobStats:
 
 @dataclass(slots=True)
 class RetryPolicy:
-    """How a guarded job retries failed map/reduce tasks.
+    """How a job retries failed map/reduce tasks.
 
     ``backoff(n)`` is a deterministic exponential:
     ``backoff_base * 2**n`` seconds before the (n+2)-th attempt.  Both
@@ -190,15 +189,14 @@ class MapReduceJob(Generic[K, V]):
         pre-aggregation).
     partitions:
         Number of map partitions; affects only grouping of combiner
-        input and the granularity of guarded map tasks, never results.
+        input and the granularity of map tasks, never results.
     retry:
-        Optional :class:`RetryPolicy`.  Setting it (or ``fault_plan``)
-        moves the job onto the guarded dispatch path: per-task retries
-        with deterministic backoff, deadline checks and poison
-        isolation.  Task failures then surface as
-        :class:`~repro.errors.RetryExhaustedError` once the attempt
-        budget is spent (``retry=None`` with a fault plan means a
-        budget of one attempt — "retries disabled").
+        Optional :class:`RetryPolicy`: per-task retries with
+        deterministic backoff, deadline checks and poison isolation.
+        ``None`` means a budget of one attempt ("retries disabled").
+        A task failure surfaces as
+        :class:`~repro.errors.RetryExhaustedError`, chained to the
+        task's last exception, once the attempt budget is spent.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` hooked into the map
         and reduce task wrappers (scopes ``"map"``/``"reduce"``,
@@ -206,10 +204,9 @@ class MapReduceJob(Generic[K, V]):
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  When set,
         ``run()`` publishes every :class:`JobStats` counter as a
-        ``mapreduce_*`` metric (even when the job raises) and the
-        guarded path counts dispatch waves per scope
-        (``mapreduce_waves_total``) and times them
-        (``mapreduce_wave_seconds``).
+        ``mapreduce_*`` metric (even when the job raises) and counts
+        dispatch waves per scope (``mapreduce_waves_total``) and times
+        them (``mapreduce_wave_seconds``).
     """
 
     def __init__(
@@ -239,9 +236,8 @@ class MapReduceJob(Generic[K, V]):
         """Execute the job and return the collected reducer output."""
         self.stats = JobStats()
         partitions = self._split(records)
-        guarded = self.retry is not None or self.fault_plan is not None
         try:
-            return self._execute(partitions, guarded)
+            return self._execute(partitions)
         finally:
             self._publish_stats()
 
@@ -280,29 +276,19 @@ class MapReduceJob(Generic[K, V]):
             "mapreduce_poisoned_records_total"
         ).inc(stats.poisoned_records)
 
-    def _execute(
-        self, partitions: list[list[Any]], guarded: bool
-    ) -> list[Any]:
+    def _execute(self, partitions: list[list[Any]]) -> list[Any]:
         # Map (+ optional combine) per partition; partition results are
         # merged in partition order.
-        if guarded:
-            partition_results = self._run_guarded(
-                _GuardedTask(
-                    functools.partial(
-                        _map_partition, self.mapper, self.combiner
-                    ),
-                    "map",
-                    self.fault_plan,
-                ),
-                partitions,
-                scope="map",
-                resplit=_merge_partition_results,
-            )
-        else:
-            partition_results = [
-                _map_partition(self.mapper, self.combiner, partition)
-                for partition in partitions
-            ]
+        partition_results = self._run_guarded(
+            _GuardedTask(
+                functools.partial(_map_partition, self.mapper, self.combiner),
+                "map",
+                self.fault_plan,
+            ),
+            partitions,
+            scope="map",
+            resplit=_merge_partition_results,
+        )
 
         shuffled: dict[K, list[V]] = {}
         for result in partition_results:
@@ -319,15 +305,14 @@ class MapReduceJob(Generic[K, V]):
         keys = sorted(shuffled, key=repr)
         self.stats.reduce_groups = len(keys)
         output: list[Any] = []
-        if guarded and keys:
-            group_chunks = _chunk_groups(keys, shuffled)
+        if keys:
             chunk_outputs = self._run_guarded(
                 _GuardedTask(
                     functools.partial(_reduce_chunk, self.reducer),
                     "reduce",
                     self.fault_plan,
                 ),
-                group_chunks,
+                _chunk_groups(keys, shuffled),
                 scope="reduce",
                 resplit=_merge_chunk_outputs,
             )
@@ -336,14 +321,11 @@ class MapReduceJob(Generic[K, V]):
                     continue
                 for group_output in chunk_output:
                     output.extend(group_output)
-        else:
-            for key in keys:
-                output.extend(self.reducer(key, shuffled[key]))
         self.stats.output_records = len(output)
         return output
 
     # ------------------------------------------------------------------
-    # Guarded dispatch: retries, deadlines and poison isolation.
+    # Task dispatch: retries, deadlines and poison isolation.
 
     def _run_guarded(
         self,
@@ -458,7 +440,7 @@ class MapReduceJob(Generic[K, V]):
 
 
 class _GuardedTask:
-    """Guarded-path task wrapper: fault hooks plus duration measurement.
+    """Task wrapper: fault hooks plus duration measurement.
 
     Called with ``(index, attempt, payload)`` so the fault plan can
     address tasks deterministically; returns ``(result, seconds)``
@@ -484,8 +466,8 @@ class _GuardedTask:
         return result, time.perf_counter() - started + extra
 
 
-# "Retries disabled": the guarded path with a one-attempt budget, used
-# when a fault plan is set without a retry policy.
+# "Retries disabled": the one-attempt budget of a job without a retry
+# policy.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)
 
 

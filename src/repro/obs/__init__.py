@@ -1,8 +1,7 @@
 """Observability substrate: metrics registry + span tracing.
 
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with picklable,
-  mergeable snapshots (worker-local registries fold into the parent
-  the way MapReduce ``JobStats`` do);
+* :mod:`repro.obs.metrics` — counters/gauges/histograms with picklable
+  plain-data snapshots;
 * :mod:`repro.obs.trace` — nested wall-clock spans exportable as a
   JSON trace tree;
 * :mod:`repro.obs.schema` — validators for the exported JSON documents

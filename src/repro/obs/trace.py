@@ -6,14 +6,9 @@ pipeline root span, stage spans under it, and finer-grained children
 (phases, fuse call) under those.  This is the same shape distributed
 tracers emit, kept dependency-free.
 
-Two ways to create spans:
-
-* :meth:`SpanTracer.span` — a context manager timing a live block
-  (the rewritten ``_timed`` in the pipeline uses this);
-* :meth:`SpanTracer.record` — attach an already-measured duration as a
-  completed child span, for work timed elsewhere (extraction stage
-  bodies measure their own wall time inside worker processes, so the
-  parent records the returned seconds).
+Spans are opened with :meth:`SpanTracer.span`, either as a context
+manager or with an explicit ``end()``; each times a live block (the
+pipeline's stage runner ``_timed`` opens one per stage).
 
 All span fields are timing-type and therefore outside the metric
 determinism contract; traces are for debugging latency, not for
@@ -95,12 +90,6 @@ class SpanTracer:
     def _now(self) -> float:
         return self._clock() - self._epoch
 
-    def _attach(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-
     def _pop(self, span: Span) -> None:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
@@ -109,33 +98,12 @@ class SpanTracer:
     def span(self, name: str, detail: str = "") -> _SpanHandle:
         """Open a nested span; close it via ``with`` or ``.end()``."""
         span = Span(name=name, start=self._now(), detail=detail)
-        self._attach(span)
+        if self._stack:
+            self._stack[-1].children.append(span)
+        else:
+            self.roots.append(span)
         self._stack.append(span)
         return _SpanHandle(self, span)
-
-    def record(
-        self,
-        name: str,
-        seconds: float,
-        *,
-        detail: str = "",
-        failed: bool = False,
-    ) -> Span:
-        """Attach a completed span whose duration was measured elsewhere.
-
-        The start offset is back-dated by ``seconds`` so the span sits
-        where the work actually ran (stage bodies measure inside
-        worker processes and return their seconds to the parent).
-        """
-        span = Span(
-            name=name,
-            start=max(0.0, self._now() - seconds),
-            seconds=seconds,
-            detail=detail,
-            status="failed" if failed else "ok",
-        )
-        self._attach(span)
-        return span
 
     def to_json_dict(self) -> dict:
         """The JSON trace tree (``--trace-out`` writes exactly this)."""

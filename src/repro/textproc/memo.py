@@ -20,8 +20,10 @@ The cache layer here is deliberately boring:
   (tested), and :func:`configure_similarity_caches` can disable the
   layer globally for debugging or measurement.
 
-Caches are per-process: each process warms its own table, which is
-exactly the behaviour a distributed deployment would have.
+Caches are module-global: every call in the interpreter shares one
+table per function, and a pipeline run starts by clearing them
+(:func:`clear_similarity_caches`) so its cache metrics count that run
+alone.
 """
 
 from __future__ import annotations

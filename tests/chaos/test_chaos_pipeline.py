@@ -25,6 +25,7 @@ from repro.core.pipeline import (
     PipelineConfig,
 )
 from repro.errors import PipelineError
+from repro.extract.dom import DomTreeExtractor
 from repro.faults import FaultPlan, InjectedFault
 from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig
@@ -171,6 +172,30 @@ class TestGracefulDegradation:
         assert "StageTimeoutError" in report.health.degraded[
             "dom-extraction"
         ]
+
+    def test_stage_failing_after_diverting_keeps_its_quarantine(
+        self, monkeypatch
+    ):
+        # The DOM guard diverts two corrupted pages, then the extractor
+        # dies: the stage degrades, but the diverted pages stay counted.
+        def broken_extract(self, sites):
+            raise RuntimeError("extractor died")
+
+        monkeypatch.setattr(DomTreeExtractor, "extract", broken_extract)
+        plan = (
+            FaultPlan(seed=7)
+            .corrupt("records:dom", index=0)
+            .corrupt("records:dom", index=3)
+        )
+        report = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan)
+        ).run()
+        health = report.health
+        assert health.degraded["dom-extraction"] == (
+            "RuntimeError: extractor died"
+        )
+        assert health.quarantined["counts"] == {"dom": 2}
+        assert "dom" not in report.triple_counts
 
     def test_below_min_sources_floor_raises(self):
         plan = (

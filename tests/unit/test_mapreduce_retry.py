@@ -212,11 +212,35 @@ class TestGuardedExecution:
         job.run(WORDS)
         assert job.stats.retries == 0
         assert job.stats.poisoned_records == 0
-        # The non-guarded path leaves the new counters untouched.
-        legacy = _job()
-        legacy.run(WORDS)
-        assert legacy.stats.attempts == 0
-        assert isinstance(legacy.stats, JobStats)
+        # Without a policy the job takes the same dispatch path with a
+        # one-attempt budget: each map partition and reduce chunk is
+        # attempted once (6 distinct words -> 6 one-key chunks).
+        plain = _job()
+        plain.run(WORDS)
+        assert plain.stats.attempts == 3 + len(set(WORDS))
+        assert plain.stats.retries == 0
+        assert isinstance(plain.stats, JobStats)
+
+
+class TestOneDispatchPath:
+    def test_plain_job_task_error_is_retry_exhausted(self):
+        job = MapReduceJob(_poison_mapper, _reducer, partitions=3)
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            job.run(WORDS + ["poison"])
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert job.stats.attempts >= 1
+
+    @pytest.mark.parametrize(
+        ("keys", "chunks"), [(0, 0), (5, 5), (12, 6), (40, 8)]
+    )
+    def test_unfaulted_attempts_are_partitions_plus_chunks(
+        self, keys, chunks
+    ):
+        job = MapReduceJob(_mapper, _reducer, partitions=4)
+        output = job.run([f"k{i}" for i in range(keys)])
+        assert len(output) == keys
+        assert job.stats.attempts == 4 + chunks
+        assert job.stats.retries == 0
 
 
 class TestReduceChunking:

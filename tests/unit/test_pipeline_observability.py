@@ -203,3 +203,53 @@ class TestFatalCrashReport:
         assert report.metrics is not None
         assert report.wall_seconds > 0.0
         assert report.trace["spans"][0]["status"] == "failed"
+
+
+class TestDegradedExtractionTiming:
+    """Regression: a degraded extraction stage dropped its timing.
+
+    Its span was back-dated with 0.0 s and ``report.timings`` had no
+    entry for it; it now books its time like every other stage.
+    """
+
+    def test_crashed_stage_keeps_its_timing_span_and_metrics(self):
+        plan = FaultPlan(seed=5).crash(
+            "stage:webtext-extraction", attempts=0
+        )
+        report = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan)
+        ).run()
+        (timing,) = [
+            timing for timing in report.timings
+            if timing.stage == "webtext-extraction"
+        ]
+        assert timing.detail == "failed: InjectedFault"
+        assert "webtext-extraction" in report.health.degraded
+        spans = {
+            span["name"]: span
+            for span in report.trace["spans"][0]["children"]
+        }
+        assert spans["webtext-extraction"]["status"] == "failed"
+        assert spans["webtext-extraction"]["detail"] == timing.detail
+        key = "{stage=webtext-extraction}"
+        assert report.metrics.histograms[
+            f"pipeline_stage_seconds{key}"
+        ].count == 1
+        assert report.metrics.counters[
+            f"pipeline_stage_failed_total{key}"
+        ] == 1
+
+    def test_overrun_stage_books_its_injected_seconds(self):
+        plan = FaultPlan(seed=5).slow(
+            "stage:dom-extraction", seconds=99.0, attempts=0
+        )
+        report = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan, stage_timeout=5.0)
+        ).run()
+        (timing,) = [
+            timing for timing in report.timings
+            if timing.stage == "dom-extraction"
+        ]
+        assert timing.seconds >= 99.0
+        assert timing.detail.endswith("; failed: StageTimeoutError")
+        assert "dom" not in report.triple_counts
